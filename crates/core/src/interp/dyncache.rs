@@ -16,18 +16,13 @@
 //! and the stack pointer is only touched on overflow/underflow
 //! (sp-update minimization, Section 3.1).
 
-use stackcache_vm::{Cell, Checks, Inst, Machine, Program, VmError, CELL_BYTES, FALSE, TRUE};
+use stackcache_vm::stepper::FlatStacks;
+use stackcache_vm::{
+    flag, Cell, Checks, Inst, Machine, Program, VmError, CELL_BYTES, CHECK_FULL, CHECK_NONE,
+    CHECK_NO_UNDERFLOW,
+};
 
-use crate::interp::{RunStats, CHECK_FULL, CHECK_NONE, CHECK_NO_UNDERFLOW};
-
-#[inline]
-fn flag(b: bool) -> Cell {
-    if b {
-        TRUE
-    } else {
-        FALSE
-    }
-}
+use crate::interp::RunStats;
 
 /// Run `program` with the dynamically stack-cached interpreter.
 ///
@@ -75,22 +70,22 @@ fn run_dyncache_mode<const MODE: u8>(
     fuel: u64,
 ) -> Result<RunStats, VmError> {
     let insts = program.insts();
-    let limit = machine.stack_limit().min(1 << 20);
-    let rlimit = machine.rstack_limit().min(1 << 20);
-    let mut buf = vec![0 as Cell; limit]; // in-memory part of the data stack
-    let mut rbuf = vec![0 as Cell; rlimit];
-    let mut rsp = machine.rstack().len();
-    rbuf[..rsp].copy_from_slice(machine.rstack());
+    // Adopt pre-set stack contents into memory (`buf` is the in-memory
+    // part of the data stack); the cache starts empty.
+    let FlatStacks {
+        mut buf,
+        mut sp,
+        mut rbuf,
+        mut rsp,
+    } = FlatStacks::from_machine(machine);
+    let limit = buf.len();
+    let rlimit = rbuf.len();
 
     // cache registers and state
     let mut r0: Cell = 0;
     let mut r1: Cell = 0;
     let mut r2: Cell = 0;
     let mut s: u8 = 0;
-
-    // Adopt pre-set stack contents into memory; the cache starts empty.
-    let mut sp = machine.stack().len();
-    buf[..sp].copy_from_slice(machine.stack());
 
     let mut ip = program.entry();
     let mut executed: u64 = 0;
@@ -277,7 +272,7 @@ fn run_dyncache_mode<const MODE: u8>(
                     return Err(VmError::DivisionByZero { ip: cur });
                 }
                 let a = pop_val!();
-                push_val!(a.div_euclid(b));
+                push_val!(a.wrapping_div_euclid(b));
             }
             Inst::Mod => {
                 let b = pop_val!();
@@ -285,7 +280,7 @@ fn run_dyncache_mode<const MODE: u8>(
                     return Err(VmError::DivisionByZero { ip: cur });
                 }
                 let a = pop_val!();
-                push_val!(a.rem_euclid(b));
+                push_val!(a.wrapping_rem_euclid(b));
             }
             Inst::And => binop!(|a: Cell, b: Cell| a & b),
             Inst::Or => binop!(|a: Cell, b: Cell| a | b),

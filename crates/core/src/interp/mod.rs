@@ -21,13 +21,6 @@ pub use staticrun::{
     compile_static, run_staticcache, run_staticcache_with_checks, SInst, StaticExecutable,
 };
 
-/// Check-mode constant: all depth checks on (mirrors `vm::Checks::Full`).
-pub(crate) const CHECK_FULL: u8 = 0;
-/// Check-mode constant: underflow checks off (`vm::Checks::NoUnderflow`).
-pub(crate) const CHECK_NO_UNDERFLOW: u8 = 1;
-/// Check-mode constant: all depth checks off (`vm::Checks::None`).
-pub(crate) const CHECK_NONE: u8 = 2;
-
 /// Outcome of a wall-clock interpreter run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunStats {

@@ -313,12 +313,14 @@ impl<P: Protocol> Engine<P> {
 
     /// Stop accepting, force-close every connection
     /// ([`CloseReason::ServerShutdown`]), and join the poller thread.
-    pub fn shutdown(mut self) {
+    /// Returns the counters, final now that every close has happened.
+    pub fn shutdown(mut self) -> Arc<EngineStats> {
         self.stop.store(true, Ordering::SeqCst);
         self.waker.wake();
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
+        Arc::clone(&self.stats)
     }
 }
 

@@ -3,8 +3,8 @@
 //! first-divergence report.
 
 use stackcache_core::Org;
-use stackcache_harness::{check_org_accounting, cross_validate, gen, Fault};
-use stackcache_vm::{Inst, Rng};
+use stackcache_harness::{all_engines, check_org_accounting, cross_validate, gen, Fault};
+use stackcache_vm::{program_of, Cell, Inst, Program, ProgramBuilder, Rng};
 
 const FUEL: u64 = 1_000_000;
 
@@ -40,6 +40,38 @@ fn oracle_agrees_on_straight_line_programs() {
         let p = gen::straight_line(&choices);
         if let Err(d) = cross_validate(&p, FUEL) {
             panic!("seed {seed}: {d}");
+        }
+    }
+}
+
+/// `MIN / -1` and `MIN mod -1` overflow `i64`. Every engine, plain and
+/// peephole-optimized, computes the wrapped results `MIN` and `0`
+/// instead of panicking: once in straight-line code (which the peephole
+/// pass constant-folds and the JIT guards natively) and once behind a
+/// call, where neither can see the operands.
+#[test]
+fn min_divided_by_minus_one_wraps_on_every_engine() {
+    for (op, want) in [(Inst::Div, Cell::MIN), (Inst::Mod, 0)] {
+        let straight = program_of(&[Inst::Lit(Cell::MIN), Inst::Lit(-1), op]);
+        let mut b = ProgramBuilder::new();
+        let word = b.new_label();
+        b.push(Inst::Lit(Cell::MIN));
+        b.push(Inst::Lit(-1));
+        b.call(word);
+        b.push(Inst::Halt);
+        b.bind(word).unwrap();
+        b.push(op);
+        b.push(Inst::Return);
+        let called: Program = b.finish().unwrap();
+        for p in [&straight, &called] {
+            for engine in all_engines() {
+                let out = engine.run(p, FUEL);
+                assert_eq!(out.trap, None, "{op} on {}", engine.name);
+                assert_eq!(out.stack, [want], "{op} on {}", engine.name);
+            }
+            if let Err(d) = cross_validate(p, FUEL) {
+                panic!("{op}: {d}");
+            }
         }
     }
 }

@@ -580,8 +580,8 @@ impl BlockCompiler<'_> {
         let zero = self.stub(ip);
         self.asm.test_rr(b, b);
         self.asm.jcc(Cc::E, zero);
-        // i64::MIN / -1 faults in hardware; the interpreter's own
-        // div_euclid panics on it too — let the interpreter own it.
+        // i64::MIN / -1 faults in hardware; deopt and let the
+        // interpreter compute the wrapped result (MIN, remainder 0).
         let minover = self.stub(ip);
         let ok = self.asm.new_label();
         self.asm.mov_ri(Reg::R11, i64::MIN);

@@ -111,10 +111,10 @@ pub fn run_compiled(
             let mut ctx = JitCtx {
                 stack_ptr: st.buf.as_mut_ptr(),
                 sp: st.sp as u64,
-                stack_limit: st.limit as u64,
+                stack_limit: st.buf.len() as u64,
                 rstack_ptr: st.rbuf.as_mut_ptr(),
                 rsp: st.rsp as u64,
-                rstack_limit: st.rlimit as u64,
+                rstack_limit: st.rbuf.len() as u64,
                 mem_ptr: machine.memory_mut().as_mut_ptr(),
                 mem_len: machine.memory_mut().len() as u64,
                 out_ptr,

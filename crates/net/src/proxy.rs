@@ -32,7 +32,9 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use stackcache_evio::{Action, CloseReason, ConnIo, Engine, EngineConfig, Handle, Protocol};
+use stackcache_evio::{
+    Action, CloseReason, ConnIo, Engine, EngineConfig, EngineStats, Handle, Protocol,
+};
 use stackcache_obs::{
     node_label, traces_json, JsonObj, PromText, SpanIdGen, SpanKind, SpanRecord, TraceAssembler,
     TraceTree,
@@ -1149,16 +1151,8 @@ impl NetProxy {
     #[must_use]
     pub fn metrics(&self) -> ProxySnapshot {
         let mut snap = self.inner.metrics.snapshot();
-        self.fill_engine_stats(&mut snap);
+        fill_engine_stats(&mut snap, self.engine.stats());
         snap
-    }
-
-    fn fill_engine_stats(&self, snap: &mut ProxySnapshot) {
-        let stats = self.engine.stats();
-        snap.connections_live = stats.live.load(Ordering::Relaxed);
-        snap.over_budget = stats.over_budget.load(Ordering::Relaxed);
-        snap.evicted_idle = stats.evicted_idle.load(Ordering::Relaxed);
-        snap.evicted_stall = stats.evicted_stall.load(Ordering::Relaxed);
     }
 
     /// The router's Prometheus page.
@@ -1210,9 +1204,11 @@ impl NetProxy {
             }
             thread::sleep(std::time::Duration::from_millis(1));
         }
+        // snapshot after the engine's teardown, so the client
+        // connections it force-closes are counted as closed
+        let engine_stats = self.engine.shutdown();
         let mut snap = self.inner.metrics.snapshot();
-        self.fill_engine_stats(&mut snap);
-        self.engine.shutdown();
+        fill_engine_stats(&mut snap, &engine_stats);
         // disconnect the submit threads (their `recv` unblocks), which
         // drop their completion senders in turn — both forwarder
         // threads per node exit and can be joined
@@ -1225,6 +1221,14 @@ impl NetProxy {
         self.clients.clear();
         snap
     }
+}
+
+/// Copy the engine's liveness gauges into a [`ProxySnapshot`].
+fn fill_engine_stats(snap: &mut ProxySnapshot, stats: &EngineStats) {
+    snap.connections_live = stats.live.load(Ordering::Relaxed);
+    snap.over_budget = stats.over_budget.load(Ordering::Relaxed);
+    snap.evicted_idle = stats.evicted_idle.load(Ordering::Relaxed);
+    snap.evicted_stall = stats.evicted_stall.load(Ordering::Relaxed);
 }
 
 impl std::fmt::Debug for NetProxy {

@@ -863,11 +863,12 @@ impl NetServer {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        let mut net_snap = self.inner.metrics.snapshot();
-        fill_engine_stats(&mut net_snap, self.engine.stats());
         // the engine's teardown delivers straggler mailbox replies and
-        // flushes each connection before closing it
-        self.engine.shutdown();
+        // flushes each connection before closing it; snapshot only after
+        // it, so the connections it force-closes are counted as closed
+        let engine_stats = self.engine.shutdown();
+        let mut net_snap = self.inner.metrics.snapshot();
+        fill_engine_stats(&mut net_snap, &engine_stats);
         let inner = Arc::into_inner(self.inner).expect("engine released its handle");
         let svc_snap = inner.service.shutdown();
         (svc_snap, net_snap)

@@ -333,7 +333,11 @@ mod tests {
             })
         };
         let mut seen = 0usize;
-        for _ in 0..200 {
+        // keep reading until the writer is done, so the dumps overlap its
+        // writes however late the writer thread gets scheduled
+        let mut dumps = 0;
+        while dumps < 200 || !writer.is_finished() {
+            dumps += 1;
             let dump = rec.dump();
             for e in &dump.events {
                 if let EventKind::ExecuteEnd { executed } = e.kind {

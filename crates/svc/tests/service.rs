@@ -66,6 +66,44 @@ fn every_regime_answers_with_the_same_output() {
     assert_eq!(m.completed(), 2 * EngineRegime::ALL.len() as u64);
 }
 
+/// `MIN / -1` used to panic the interpreter and take its worker thread
+/// down. One more such request than there are workers must each
+/// complete with the wrapped quotient, and the pool must still serve.
+#[test]
+fn min_divided_by_minus_one_completes_and_keeps_workers_alive() {
+    let workers = 2;
+    let svc = Service::start(config(workers, 64));
+    let overflow = Arc::new(program_of(&[
+        Inst::Lit(i64::MIN),
+        Inst::Lit(-1),
+        Inst::Div,
+        Inst::Dot,
+    ]));
+    let tickets: Vec<_> = (0..=workers)
+        .map(|_| {
+            svc.submit(Request::new(Arc::clone(&overflow), EngineRegime::Baseline))
+                .expect("admitted")
+        })
+        .collect();
+    for t in tickets {
+        match t.wait() {
+            Reply::Completed(c) => {
+                assert_eq!(c.outcome.trap, None);
+                assert_eq!(c.outcome.output, format!("{} ", i64::MIN).as_bytes());
+            }
+            Reply::Rejected(r) => panic!("rejected {r:?}"),
+        }
+    }
+    let t = svc
+        .submit(Request::new(square(6), EngineRegime::Baseline))
+        .expect("admitted");
+    match t.wait() {
+        Reply::Completed(c) => assert_eq!(c.outcome.output, b"36 "),
+        Reply::Rejected(r) => panic!("healthy request rejected {r:?}"),
+    }
+    svc.shutdown();
+}
+
 #[test]
 fn repeated_programs_hit_the_cache() {
     let svc = Service::start(config(2, 64));

@@ -40,12 +40,14 @@ pub enum Checks {
     None,
 }
 
-/// Mode constant: all checks on.
-pub(crate) const CHECK_FULL: u8 = 0;
+/// Mode constant: all checks on. The `CHECK_*` constants are the const
+/// generic parameter every engine monomorphizes its loop on, one per
+/// [`Checks`] level.
+pub const CHECK_FULL: u8 = 0;
 /// Mode constant: underflow checks off.
-pub(crate) const CHECK_NO_UNDERFLOW: u8 = 1;
+pub const CHECK_NO_UNDERFLOW: u8 = 1;
 /// Mode constant: all depth checks off.
-pub(crate) const CHECK_NONE: u8 = 2;
+pub const CHECK_NONE: u8 = 2;
 
 impl Checks {
     /// `true` when this level performs underflow checks.

@@ -332,7 +332,7 @@ fn run_observer_mode<const MODE: u8, O: ExecObserver + ?Sized>(
                 if b == 0 {
                     return Err(VmError::DivisionByZero { ip: cur_ip });
                 }
-                push!(a.div_euclid(b));
+                push!(a.wrapping_div_euclid(b));
             }
             Inst::Mod => {
                 let b = pop!();
@@ -340,7 +340,7 @@ fn run_observer_mode<const MODE: u8, O: ExecObserver + ?Sized>(
                 if b == 0 {
                     return Err(VmError::DivisionByZero { ip: cur_ip });
                 }
-                push!(a.rem_euclid(b));
+                push!(a.wrapping_rem_euclid(b));
             }
             Inst::And => binop!(|a: Cell, b: Cell| a & b),
             Inst::Or => binop!(|a: Cell, b: Cell| a | b),

@@ -9,46 +9,15 @@
 //! folding functions mirror [`exec`](crate::exec) exactly, instruction by
 //! instruction, and a test in this module pins them against the reference
 //! interpreter over the full binary/unary instruction set.
-//!
-//! The only intentional deviation is overflowing division
-//! (`i64::MIN / -1`), which the folders define as wrapping rather than
-//! panicking so an analysis can fold any operand pair it encounters.
 
-use crate::inst::{Cell, Inst, CELL_BYTES, FALSE, TRUE};
-
-fn flag(b: bool) -> Cell {
-    if b {
-        TRUE
-    } else {
-        FALSE
-    }
-}
-
-/// Floored division, wrapping on the single overflowing case.
-#[must_use]
-pub fn wrapping_div_euclid(a: Cell, b: Cell) -> Cell {
-    if a == Cell::MIN && b == -1 {
-        a
-    } else {
-        a.div_euclid(b)
-    }
-}
-
-/// Floored remainder, wrapping on the single overflowing case.
-#[must_use]
-pub fn wrapping_rem_euclid(a: Cell, b: Cell) -> Cell {
-    if a == Cell::MIN && b == -1 {
-        0
-    } else {
-        a.rem_euclid(b)
-    }
-}
+use crate::inst::{flag, Cell, Inst, CELL_BYTES};
 
 /// Fold a binary computational instruction over concrete operands
 /// (`a` below `b` on the stack).
 ///
 /// Returns `None` when the instruction is not a pure binary operation, or
-/// when it would trap (division by zero).
+/// when it would trap (division by zero). The one overflowing division,
+/// `i64::MIN / -1`, wraps to `MIN` (remainder `0`) in every engine.
 #[must_use]
 pub fn fold2(inst: Inst, a: Cell, b: Cell) -> Option<Cell> {
     let v = match inst {
@@ -59,13 +28,13 @@ pub fn fold2(inst: Inst, a: Cell, b: Cell) -> Option<Cell> {
             if b == 0 {
                 return None;
             }
-            wrapping_div_euclid(a, b)
+            a.wrapping_div_euclid(b)
         }
         Inst::Mod => {
             if b == 0 {
                 return None;
             }
-            wrapping_rem_euclid(a, b)
+            a.wrapping_rem_euclid(b)
         }
         Inst::And => a & b,
         Inst::Or => a | b,
@@ -131,6 +100,7 @@ mod tests {
         255,
         -256,
         Cell::MAX,
+        Cell::MIN,
         Cell::MIN + 1,
     ];
 
@@ -174,8 +144,8 @@ mod tests {
 
     #[test]
     fn division_folds_wrap_instead_of_trapping() {
-        assert_eq!(wrapping_div_euclid(Cell::MIN, -1), Cell::MIN);
-        assert_eq!(wrapping_rem_euclid(Cell::MIN, -1), 0);
+        assert_eq!(fold2(Inst::Div, Cell::MIN, -1), Some(Cell::MIN));
+        assert_eq!(fold2(Inst::Mod, Cell::MIN, -1), Some(0));
         assert_eq!(fold2(Inst::Div, 7, 0), None);
         assert_eq!(fold2(Inst::Mod, 7, 0), None);
     }

@@ -39,6 +39,17 @@ pub const TRUE: Cell = -1;
 /// The canonical Forth *false* flag.
 pub const FALSE: Cell = 0;
 
+/// The Forth flag for `b`: [`TRUE`] or [`FALSE`].
+#[inline]
+#[must_use]
+pub fn flag(b: bool) -> Cell {
+    if b {
+        TRUE
+    } else {
+        FALSE
+    }
+}
+
 /// A virtual machine instruction.
 ///
 /// Instruction operands that are part of the instruction itself (literal
@@ -71,9 +82,11 @@ pub enum Inst {
     Sub,
     /// `*` multiplication (wrapping).
     Mul,
-    /// `/` floored division. Traps on division by zero.
+    /// `/` floored division. Traps on division by zero; `MIN / -1`
+    /// wraps to `MIN`.
     Div,
-    /// `mod` floored remainder. Traps on division by zero.
+    /// `mod` floored remainder. Traps on division by zero; `MIN mod -1`
+    /// is `0`.
     Mod,
     /// `and` bitwise conjunction.
     And,

@@ -13,7 +13,10 @@
 //! the data stack is accessed:
 //!
 //! * [`run_baseline`] keeps every stack item in memory and manipulates an
-//!   explicit stack-pointer index (Fig. 11),
+//!   explicit stack-pointer index (Fig. 11). Its opcode loop is the one
+//!   flat-stack loop of this crate, [`crate::stepper`]'s, run over the
+//!   whole program in a single call; the fused and quickened engines run
+//!   the same loop group by group, and the JIT deoptimizes into it,
 //! * [`run_tos`] keeps the top of stack in a local variable that the
 //!   compiler can allocate to a machine register (Fig. 12), turning e.g.
 //!   `+` from two loads + one store into a single load.
@@ -23,24 +26,16 @@
 
 use crate::checks::{Checks, CHECK_FULL, CHECK_NONE, CHECK_NO_UNDERFLOW};
 use crate::error::VmError;
-use crate::inst::{Cell, Inst, CELL_BYTES, FALSE, TRUE};
+use crate::inst::{flag, Cell, Inst, CELL_BYTES};
 use crate::machine::Machine;
 use crate::program::Program;
+use crate::stepper::{run_span_mode, FlatStacks, WHOLE};
 
 /// Outcome of a wall-clock interpreter run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunStats {
     /// Number of instructions executed (including the final `halt`).
     pub executed: u64,
-}
-
-#[inline]
-fn flag(b: bool) -> Cell {
-    if b {
-        TRUE
-    } else {
-        FALSE
-    }
 }
 
 /// Run `program` with the plain memory-stack interpreter.
@@ -87,453 +82,19 @@ fn run_baseline_mode<const MODE: u8>(
     machine: &mut Machine,
     fuel: u64,
 ) -> Result<RunStats, VmError> {
-    let insts = program.insts();
-    let limit = machine.stack_limit.min(1 << 20);
-    let rlimit = machine.rstack_limit.min(1 << 20);
-    let mut buf = vec![0 as Cell; limit];
-    let mut rbuf = vec![0 as Cell; rlimit];
-    // Adopt any pre-set stack contents.
-    let mut sp = machine.stack.len();
-    buf[..sp].copy_from_slice(&machine.stack);
-    let mut rsp = machine.rstack.len();
-    rbuf[..rsp].copy_from_slice(&machine.rstack);
-
-    let mut ip = program.entry();
-    let mut executed: u64 = 0;
-
-    macro_rules! pop {
-        ($cur:expr) => {{
-            if MODE == CHECK_FULL && sp == 0 {
-                return Err(VmError::StackUnderflow { ip: $cur });
-            }
-            sp -= 1;
-            buf[sp]
-        }};
-    }
-    macro_rules! push {
-        ($cur:expr, $v:expr) => {{
-            if MODE < CHECK_NONE && sp >= limit {
-                return Err(VmError::StackOverflow { ip: $cur });
-            }
-            buf[sp] = $v;
-            sp += 1;
-        }};
-    }
-    macro_rules! need {
-        ($cur:expr, $n:expr) => {
-            if MODE == CHECK_FULL && sp < $n {
-                return Err(VmError::StackUnderflow { ip: $cur });
-            }
-        };
-    }
-    macro_rules! rpop {
-        ($cur:expr) => {{
-            if MODE == CHECK_FULL && rsp == 0 {
-                return Err(VmError::ReturnStackUnderflow { ip: $cur });
-            }
-            rsp -= 1;
-            rbuf[rsp]
-        }};
-    }
-    macro_rules! rpush {
-        ($cur:expr, $v:expr) => {{
-            if MODE < CHECK_NONE && rsp >= rlimit {
-                return Err(VmError::ReturnStackOverflow { ip: $cur });
-            }
-            rbuf[rsp] = $v;
-            rsp += 1;
-        }};
-    }
-    macro_rules! binop {
-        ($cur:expr, $f:expr) => {{
-            need!($cur, 2);
-            let b = buf[sp - 1];
-            let a = buf[sp - 2];
-            buf[sp - 2] = $f(a, b);
-            sp -= 1;
-        }};
-    }
-    macro_rules! unop {
-        ($cur:expr, $f:expr) => {{
-            need!($cur, 1);
-            buf[sp - 1] = $f(buf[sp - 1]);
-        }};
-    }
-
-    loop {
-        if executed >= fuel {
-            return Err(VmError::FuelExhausted { ip });
-        }
-        let Some(&inst) = insts.get(ip) else {
-            return Err(VmError::InstructionOutOfBounds { ip });
-        };
-        executed += 1;
-        let cur = ip;
-        ip += 1;
-        match inst {
-            Inst::Lit(n) => push!(cur, n),
-            Inst::Add => binop!(cur, |a: Cell, b: Cell| a.wrapping_add(b)),
-            Inst::Sub => binop!(cur, |a: Cell, b: Cell| a.wrapping_sub(b)),
-            Inst::Mul => binop!(cur, |a: Cell, b: Cell| a.wrapping_mul(b)),
-            Inst::Div => {
-                need!(cur, 2);
-                let b = buf[sp - 1];
-                let a = buf[sp - 2];
-                if b == 0 {
-                    return Err(VmError::DivisionByZero { ip: cur });
-                }
-                buf[sp - 2] = a.div_euclid(b);
-                sp -= 1;
-            }
-            Inst::Mod => {
-                need!(cur, 2);
-                let b = buf[sp - 1];
-                let a = buf[sp - 2];
-                if b == 0 {
-                    return Err(VmError::DivisionByZero { ip: cur });
-                }
-                buf[sp - 2] = a.rem_euclid(b);
-                sp -= 1;
-            }
-            Inst::And => binop!(cur, |a: Cell, b: Cell| a & b),
-            Inst::Or => binop!(cur, |a: Cell, b: Cell| a | b),
-            Inst::Xor => binop!(cur, |a: Cell, b: Cell| a ^ b),
-            Inst::Lshift => binop!(cur, |a: Cell, b: Cell| ((a as u64) << (b as u64 & 63))
-                as Cell),
-            Inst::Rshift => binop!(cur, |a: Cell, b: Cell| ((a as u64) >> (b as u64 & 63))
-                as Cell),
-            Inst::Min => binop!(cur, |a: Cell, b: Cell| a.min(b)),
-            Inst::Max => binop!(cur, |a: Cell, b: Cell| a.max(b)),
-            Inst::Eq => binop!(cur, |a, b| flag(a == b)),
-            Inst::Ne => binop!(cur, |a, b| flag(a != b)),
-            Inst::Lt => binop!(cur, |a, b| flag(a < b)),
-            Inst::Gt => binop!(cur, |a, b| flag(a > b)),
-            Inst::Le => binop!(cur, |a, b| flag(a <= b)),
-            Inst::Ge => binop!(cur, |a, b| flag(a >= b)),
-            Inst::ULt => binop!(cur, |a: Cell, b: Cell| flag((a as u64) < (b as u64))),
-            Inst::UGt => binop!(cur, |a: Cell, b: Cell| flag((a as u64) > (b as u64))),
-            Inst::Negate => unop!(cur, |a: Cell| a.wrapping_neg()),
-            Inst::Invert => unop!(cur, |a: Cell| !a),
-            Inst::Abs => unop!(cur, |a: Cell| a.wrapping_abs()),
-            Inst::OnePlus => unop!(cur, |a: Cell| a.wrapping_add(1)),
-            Inst::OneMinus => unop!(cur, |a: Cell| a.wrapping_sub(1)),
-            Inst::TwoStar => unop!(cur, |a: Cell| a.wrapping_mul(2)),
-            Inst::TwoSlash => unop!(cur, |a: Cell| a >> 1),
-            Inst::ZeroEq => unop!(cur, |a| flag(a == 0)),
-            Inst::ZeroNe => unop!(cur, |a| flag(a != 0)),
-            Inst::ZeroLt => unop!(cur, |a| flag(a < 0)),
-            Inst::ZeroGt => unop!(cur, |a| flag(a > 0)),
-            Inst::CellPlus => unop!(cur, |a: Cell| a.wrapping_add(CELL_BYTES as Cell)),
-            Inst::Cells => unop!(cur, |a: Cell| a.wrapping_mul(CELL_BYTES as Cell)),
-            Inst::CharPlus => unop!(cur, |a: Cell| a.wrapping_add(1)),
-            Inst::Dup => {
-                need!(cur, 1);
-                let a = buf[sp - 1];
-                push!(cur, a);
-            }
-            Inst::Drop => {
-                need!(cur, 1);
-                sp -= 1;
-            }
-            Inst::Swap => {
-                need!(cur, 2);
-                buf.swap(sp - 1, sp - 2);
-            }
-            Inst::Over => {
-                need!(cur, 2);
-                let a = buf[sp - 2];
-                push!(cur, a);
-            }
-            Inst::Rot => {
-                need!(cur, 3);
-                let a = buf[sp - 3];
-                buf[sp - 3] = buf[sp - 2];
-                buf[sp - 2] = buf[sp - 1];
-                buf[sp - 1] = a;
-            }
-            Inst::MinusRot => {
-                need!(cur, 3);
-                let c = buf[sp - 1];
-                buf[sp - 1] = buf[sp - 2];
-                buf[sp - 2] = buf[sp - 3];
-                buf[sp - 3] = c;
-            }
-            Inst::Nip => {
-                need!(cur, 2);
-                buf[sp - 2] = buf[sp - 1];
-                sp -= 1;
-            }
-            Inst::Tuck => {
-                need!(cur, 2);
-                let b = buf[sp - 1];
-                let a = buf[sp - 2];
-                buf[sp - 2] = b;
-                buf[sp - 1] = a;
-                push!(cur, b);
-            }
-            Inst::TwoDup => {
-                need!(cur, 2);
-                let b = buf[sp - 1];
-                let a = buf[sp - 2];
-                push!(cur, a);
-                push!(cur, b);
-            }
-            Inst::TwoDrop => {
-                need!(cur, 2);
-                sp -= 2;
-            }
-            Inst::TwoSwap => {
-                need!(cur, 4);
-                buf.swap(sp - 4, sp - 2);
-                buf.swap(sp - 3, sp - 1);
-            }
-            Inst::TwoOver => {
-                need!(cur, 4);
-                let a = buf[sp - 4];
-                let b = buf[sp - 3];
-                push!(cur, a);
-                push!(cur, b);
-            }
-            Inst::QDup => {
-                need!(cur, 1);
-                let a = buf[sp - 1];
-                if a != 0 {
-                    push!(cur, a);
-                }
-            }
-            Inst::Pick => {
-                need!(cur, 1);
-                let u = buf[sp - 1];
-                sp -= 1;
-                if u < 0 || u as usize >= sp {
-                    return Err(VmError::PickOutOfRange { ip: cur, index: u });
-                }
-                let v = buf[sp - 1 - u as usize];
-                push!(cur, v);
-            }
-            Inst::Depth => {
-                let d = sp as Cell;
-                push!(cur, d);
-            }
-            Inst::ToR => {
-                let a = pop!(cur);
-                rpush!(cur, a);
-            }
-            Inst::FromR => {
-                let a = rpop!(cur);
-                push!(cur, a);
-            }
-            Inst::RFetch => {
-                if MODE == CHECK_FULL && rsp == 0 {
-                    return Err(VmError::ReturnStackUnderflow { ip: cur });
-                }
-                let a = rbuf[rsp - 1];
-                push!(cur, a);
-            }
-            Inst::TwoToR => {
-                need!(cur, 2);
-                let b = buf[sp - 1];
-                let a = buf[sp - 2];
-                sp -= 2;
-                rpush!(cur, a);
-                rpush!(cur, b);
-            }
-            Inst::TwoFromR => {
-                let b = rpop!(cur);
-                let a = rpop!(cur);
-                push!(cur, a);
-                push!(cur, b);
-            }
-            Inst::TwoRFetch => {
-                if MODE == CHECK_FULL && rsp < 2 {
-                    return Err(VmError::ReturnStackUnderflow { ip: cur });
-                }
-                let a = rbuf[rsp - 2];
-                let b = rbuf[rsp - 1];
-                push!(cur, a);
-                push!(cur, b);
-            }
-            Inst::Fetch => {
-                need!(cur, 1);
-                let addr = buf[sp - 1];
-                match machine.load_cell(addr) {
-                    Some(x) => buf[sp - 1] = x,
-                    None => return Err(VmError::MemoryOutOfBounds { ip: cur, addr }),
-                }
-            }
-            Inst::Store => {
-                need!(cur, 2);
-                let addr = buf[sp - 1];
-                let x = buf[sp - 2];
-                sp -= 2;
-                if !machine.store_cell(addr, x) {
-                    return Err(VmError::MemoryOutOfBounds { ip: cur, addr });
-                }
-            }
-            Inst::CFetch => {
-                need!(cur, 1);
-                let addr = buf[sp - 1];
-                match machine.load_byte(addr) {
-                    Some(x) => buf[sp - 1] = x,
-                    None => return Err(VmError::MemoryOutOfBounds { ip: cur, addr }),
-                }
-            }
-            Inst::CStore => {
-                need!(cur, 2);
-                let addr = buf[sp - 1];
-                let x = buf[sp - 2];
-                sp -= 2;
-                if !machine.store_byte(addr, x) {
-                    return Err(VmError::MemoryOutOfBounds { ip: cur, addr });
-                }
-            }
-            Inst::PlusStore => {
-                need!(cur, 2);
-                let addr = buf[sp - 1];
-                let n = buf[sp - 2];
-                sp -= 2;
-                match machine.load_cell(addr) {
-                    Some(x) => {
-                        machine.store_cell(addr, x.wrapping_add(n));
-                    }
-                    None => return Err(VmError::MemoryOutOfBounds { ip: cur, addr }),
-                }
-            }
-            Inst::Branch(t) => ip = t as usize,
-            Inst::BranchIfZero(t) => {
-                let f = pop!(cur);
-                if f == 0 {
-                    ip = t as usize;
-                }
-            }
-            Inst::Call(t) => {
-                rpush!(cur, ip as Cell);
-                ip = t as usize;
-            }
-            Inst::Execute => {
-                let token = pop!(cur);
-                if token < 0 || token as usize >= insts.len() {
-                    return Err(VmError::InvalidExecutionToken { ip: cur, token });
-                }
-                rpush!(cur, ip as Cell);
-                ip = token as usize;
-            }
-            Inst::Return => {
-                let ret = rpop!(cur);
-                if ret < 0 || ret as usize > insts.len() {
-                    return Err(VmError::InstructionOutOfBounds { ip: ret as usize });
-                }
-                ip = ret as usize;
-            }
-            Inst::Halt => {
-                machine.stack.clear();
-                machine.stack.extend_from_slice(&buf[..sp]);
-                machine.rstack.clear();
-                machine.rstack.extend_from_slice(&rbuf[..rsp]);
-                return Ok(RunStats { executed });
-            }
-            Inst::Nop => {}
-            Inst::DoSetup => {
-                need!(cur, 2);
-                let start = buf[sp - 1];
-                let limit_v = buf[sp - 2];
-                sp -= 2;
-                rpush!(cur, limit_v);
-                rpush!(cur, start);
-            }
-            Inst::QDoSetup(t) => {
-                need!(cur, 2);
-                let start = buf[sp - 1];
-                let limit_v = buf[sp - 2];
-                sp -= 2;
-                if limit_v == start {
-                    ip = t as usize;
-                } else {
-                    rpush!(cur, limit_v);
-                    rpush!(cur, start);
-                }
-            }
-            Inst::LoopInc(t) => {
-                if MODE == CHECK_FULL && rsp < 2 {
-                    return Err(VmError::ReturnStackUnderflow { ip: cur });
-                }
-                let index = rbuf[rsp - 1].wrapping_add(1);
-                let limit_v = rbuf[rsp - 2];
-                if index == limit_v {
-                    rsp -= 2;
-                } else {
-                    rbuf[rsp - 1] = index;
-                    ip = t as usize;
-                }
-            }
-            Inst::PlusLoopInc(t) => {
-                let step = pop!(cur);
-                if MODE == CHECK_FULL && rsp < 2 {
-                    return Err(VmError::ReturnStackUnderflow { ip: cur });
-                }
-                let old = rbuf[rsp - 1];
-                let new = old.wrapping_add(step);
-                let limit_v = rbuf[rsp - 2];
-                let crossed = if step >= 0 {
-                    old < limit_v && new >= limit_v
-                } else {
-                    old >= limit_v && new < limit_v
-                };
-                if crossed {
-                    rsp -= 2;
-                } else {
-                    rbuf[rsp - 1] = new;
-                    ip = t as usize;
-                }
-            }
-            Inst::LoopI => {
-                if MODE == CHECK_FULL && rsp == 0 {
-                    return Err(VmError::ReturnStackUnderflow { ip: cur });
-                }
-                let i = rbuf[rsp - 1];
-                push!(cur, i);
-            }
-            Inst::LoopJ => {
-                if MODE == CHECK_FULL && rsp < 4 {
-                    return Err(VmError::ReturnStackUnderflow { ip: cur });
-                }
-                let j = rbuf[rsp - 3];
-                push!(cur, j);
-            }
-            Inst::Unloop => {
-                if MODE == CHECK_FULL && rsp < 2 {
-                    return Err(VmError::ReturnStackUnderflow { ip: cur });
-                }
-                rsp -= 2;
-            }
-            Inst::Emit => {
-                let c = pop!(cur);
-                machine.out.push(c as u8);
-            }
-            Inst::Dot => {
-                let n = pop!(cur);
-                machine.out.extend_from_slice(n.to_string().as_bytes());
-                machine.out.push(b' ');
-            }
-            Inst::Type => {
-                need!(cur, 2);
-                let len = buf[sp - 1];
-                let addr = buf[sp - 2];
-                sp -= 2;
-                if len < 0 {
-                    return Err(VmError::MemoryOutOfBounds { ip: cur, addr: len });
-                }
-                for i in 0..len {
-                    let a = addr.wrapping_add(i);
-                    match machine.load_byte(a) {
-                        Some(byte) => machine.out.push(byte as u8),
-                        None => return Err(VmError::MemoryOutOfBounds { ip: cur, addr: a }),
-                    }
-                }
-            }
-            Inst::Cr => machine.out.push(b'\n'),
-        }
-    }
+    let mut st = FlatStacks::from_machine(machine);
+    let mut executed = 0;
+    run_span_mode::<MODE, WHOLE>(
+        program,
+        machine,
+        &mut st,
+        program.entry(),
+        usize::MAX,
+        fuel,
+        &mut executed,
+        |_| 1,
+    )?;
+    Ok(RunStats { executed })
 }
 
 /// Run `program` with the top-of-stack-in-register interpreter (k = 1).
@@ -580,18 +141,17 @@ fn run_tos_mode<const MODE: u8>(
     fuel: u64,
 ) -> Result<RunStats, VmError> {
     let insts = program.insts();
-    let limit = machine.stack_limit.min(1 << 20);
-    let rlimit = machine.rstack_limit.min(1 << 20);
-    let mut buf = vec![0 as Cell; limit];
-    let mut rbuf = vec![0 as Cell; rlimit];
-
     // `depth` counts all items; items 0..depth-1 are live, with item
     // depth-1 held in `tos` (its memory slot is stale).
-    let mut depth = machine.stack.len();
-    buf[..depth].copy_from_slice(&machine.stack);
+    let FlatStacks {
+        mut buf,
+        sp: mut depth,
+        mut rbuf,
+        mut rsp,
+    } = FlatStacks::from_machine(machine);
+    let limit = buf.len();
+    let rlimit = rbuf.len();
     let mut tos: Cell = if depth > 0 { buf[depth - 1] } else { 0 };
-    let mut rsp = machine.rstack.len();
-    rbuf[..rsp].copy_from_slice(&machine.rstack);
 
     let mut ip = program.entry();
     let mut executed: u64 = 0;
@@ -684,7 +244,7 @@ fn run_tos_mode<const MODE: u8>(
                     return Err(VmError::DivisionByZero { ip: cur });
                 }
                 let a = buf[depth - 2];
-                tos = a.div_euclid(tos);
+                tos = a.wrapping_div_euclid(tos);
                 depth -= 1;
             }
             Inst::Mod => {
@@ -693,7 +253,7 @@ fn run_tos_mode<const MODE: u8>(
                     return Err(VmError::DivisionByZero { ip: cur });
                 }
                 let a = buf[depth - 2];
-                tos = a.rem_euclid(tos);
+                tos = a.wrapping_rem_euclid(tos);
                 depth -= 1;
             }
             Inst::And => binop!(cur, |a: Cell, b: Cell| a & b),

@@ -50,10 +50,12 @@ pub mod stepper;
 mod verify;
 
 pub use checks::Checks;
+#[doc(hidden)]
+pub use checks::{CHECK_FULL, CHECK_NONE, CHECK_NO_UNDERFLOW};
 pub use error::VmError;
 pub use exec::{ExecEvent, ExecObserver, Outcome, ResolvedEffect};
 pub use fusion::{fuse, FusedProgram, FusedStats, FusionPlan, Quickened};
-pub use inst::{perm, Cell, Effect, EffectKind, Inst, CELL_BYTES, FALSE, TRUE};
+pub use inst::{flag, perm, Cell, Effect, EffectKind, Inst, CELL_BYTES, FALSE, TRUE};
 pub use machine::{Machine, DEFAULT_MEMORY, DEFAULT_RSTACK_LIMIT, DEFAULT_STACK_LIMIT};
 pub use program::{program_of, BuildError, Label, Program, ProgramBuilder};
 pub use rng::Rng;

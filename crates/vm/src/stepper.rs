@@ -1,21 +1,32 @@
-//! Resumable block execution: the interpreter half of a mixed-mode
-//! (native + interpreted) engine.
+//! The flat-stack interpreter loop, and resumable block execution on top
+//! of it: the interpreter half of a mixed-mode (native + interpreted)
+//! engine.
 //!
-//! A template JIT executes whole basic blocks natively and must be able
-//! to hand control back to the interpreter at an *arbitrary* instruction
-//! boundary — on an unsupported opcode, a potential trap, or a fuel
-//! budget that might expire mid-block. [`run_span`] is that bridge: it
-//! interprets from a given `ip` over externally-owned flat stack state
-//! ([`FlatStacks`]), charging an externally-owned fuel counter, and stops
-//! as soon as control leaves straight-line code (or a caller-supplied
-//! block boundary is reached). Trap and fuel semantics are
-//! instruction-exact and identical to [`crate::interp::run_baseline`]:
-//! the two are cross-validated in tests by chopping reference runs into
-//! spans at every block boundary.
+//! `run_span_mode` is the one memory-stack opcode loop in this crate
+//! (the paper's Fig. 11 interpreter). Every flat-layout engine is a thin
+//! driver around it:
+//!
+//! * the baseline interpreter ([`crate::interp::run_baseline`]) runs the
+//!   whole program as one call with the span exit compiled out;
+//! * the fused and quickened engines ([`crate::fusion`]) run each group
+//!   as one span ending at the group's end, with a per-group hook that
+//!   counts the dispatch and quickens the site — inside the same call,
+//!   so the stack pointers stay in registers from group to group;
+//! * a template JIT executes whole basic blocks natively and hands
+//!   control back through [`run_span`] at an *arbitrary* instruction
+//!   boundary — on an unsupported opcode, a potential trap, or a fuel
+//!   budget that might expire mid-block.
+//!
+//! A span interprets from a given `ip` over externally-owned flat stack
+//! state ([`FlatStacks`]), charging an externally-owned fuel counter, and
+//! stops as soon as control leaves straight-line code (or a
+//! caller-supplied block boundary is reached). Trap and fuel semantics
+//! are instruction-exact whatever the driver: tests chop reference runs
+//! into spans at every block boundary and compare.
 
 use crate::checks::{Checks, CHECK_FULL, CHECK_NONE, CHECK_NO_UNDERFLOW};
 use crate::error::VmError;
-use crate::inst::{Cell, Inst, CELL_BYTES, FALSE, TRUE};
+use crate::inst::{flag, Cell, Inst, CELL_BYTES};
 use crate::machine::Machine;
 use crate::program::Program;
 
@@ -24,9 +35,9 @@ use crate::program::Program;
 ///
 /// `buf[..sp]` / `rbuf[..rsp]` are the live data and return stacks,
 /// bottom first — the same dense representation the wall-clock
-/// interpreters use internally. `limit`/`rlimit` carry the machine's
-/// depth limits with the interpreters' `1 << 20` clamp already applied,
-/// and equal the buffer lengths.
+/// interpreters use internally. The buffer lengths are the machine's
+/// depth limits with the interpreters' `1 << 20` clamp applied: a push
+/// at `sp == buf.len()` overflows.
 #[derive(Debug, Clone)]
 pub struct FlatStacks {
     /// Data-stack cells; `buf[..sp]` are live.
@@ -37,33 +48,20 @@ pub struct FlatStacks {
     pub rbuf: Vec<Cell>,
     /// Return-stack depth.
     pub rsp: usize,
-    /// Maximum data-stack depth (clamped); equals `buf.len()`.
-    pub limit: usize,
-    /// Maximum return-stack depth (clamped); equals `rbuf.len()`.
-    pub rlimit: usize,
 }
 
 impl FlatStacks {
-    /// Adopt `machine`'s current stacks into flat buffers, exactly as
-    /// the wall-clock interpreters do on entry.
+    /// Adopt `machine`'s current stacks into flat buffers: the entry
+    /// step of every flat-layout engine.
     #[must_use]
     pub fn from_machine(machine: &Machine) -> FlatStacks {
-        let limit = machine.stack_limit().min(1 << 20);
-        let rlimit = machine.rstack_limit().min(1 << 20);
-        let mut buf = vec![0 as Cell; limit];
-        let mut rbuf = vec![0 as Cell; rlimit];
+        let mut buf = vec![0 as Cell; machine.stack_limit().min(1 << 20)];
+        let mut rbuf = vec![0 as Cell; machine.rstack_limit().min(1 << 20)];
         let sp = machine.stack().len();
         buf[..sp].copy_from_slice(machine.stack());
         let rsp = machine.rstack().len();
         rbuf[..rsp].copy_from_slice(machine.rstack());
-        FlatStacks {
-            buf,
-            sp,
-            rbuf,
-            rsp,
-            limit,
-            rlimit,
-        }
+        FlatStacks { buf, sp, rbuf, rsp }
     }
 
     /// Publish the flat stacks back into `machine` (what `halt` does).
@@ -115,53 +113,85 @@ pub fn run_span(
     executed: &mut u64,
     checks: Checks,
 ) -> Result<SpanExit, VmError> {
+    // no groups in span mode: the hook is never called
+    let groups = |_| 1;
     match checks {
-        Checks::Full => run_span_mode::<CHECK_FULL>(program, machine, st, ip, stop, fuel, executed),
-        Checks::NoUnderflow => {
-            run_span_mode::<CHECK_NO_UNDERFLOW>(program, machine, st, ip, stop, fuel, executed)
-        }
-        Checks::None => run_span_mode::<CHECK_NONE>(program, machine, st, ip, stop, fuel, executed),
+        Checks::Full => run_span_mode::<CHECK_FULL, SPAN>(
+            program, machine, st, ip, stop, fuel, executed, groups,
+        ),
+        Checks::NoUnderflow => run_span_mode::<CHECK_NO_UNDERFLOW, SPAN>(
+            program, machine, st, ip, stop, fuel, executed, groups,
+        ),
+        Checks::None => run_span_mode::<CHECK_NONE, SPAN>(
+            program, machine, st, ip, stop, fuel, executed, groups,
+        ),
     }
 }
 
-#[inline]
-fn flag(b: bool) -> Cell {
-    if b {
-        TRUE
-    } else {
-        FALSE
-    }
-}
+/// Exit discipline of [`run_span_mode`]: run to `halt`; control
+/// transfers just continue and `stop` is never tested.
+pub(crate) const WHOLE: u8 = 0;
+/// Exit discipline of [`run_span_mode`]: return [`SpanExit::Continue`]
+/// at a control transfer or on reaching `stop` (what [`run_span`] does).
+pub(crate) const SPAN: u8 = 1;
+/// Exit discipline of [`run_span_mode`]: a run split into groups. A
+/// group starts at entry (pass `stop = ip`), after every control
+/// transfer, and on reaching the previous group's `stop`; there the
+/// loop calls `group(ip)` for the group's length and runs on.
+pub(crate) const GROUPS: u8 = 2;
 
-#[allow(clippy::too_many_lines)]
-fn run_span_mode<const MODE: u8>(
+/// The flat-stack opcode loop behind [`run_span`] and every other
+/// flat-layout engine, monomorphized per check level (`MODE`) and per
+/// exit discipline (`EXIT`: [`WHOLE`], [`SPAN`] or [`GROUPS`]).
+///
+/// Only `halt` or a trap ends a [`WHOLE`] or [`GROUPS`] run. The group
+/// hook runs after the fuel and fetch checks of the group's first
+/// instruction, so a driver's per-group work (counting a dispatch,
+/// quickening the site) happens exactly when the group executes. It is
+/// always inlined, so each driver gets its own copy with the stack
+/// pointers and the fuel counter in registers.
+#[allow(
+    clippy::too_many_lines,
+    clippy::too_many_arguments,
+    clippy::inline_always
+)]
+#[inline(always)]
+pub(crate) fn run_span_mode<const MODE: u8, const EXIT: u8>(
     program: &Program,
     machine: &mut Machine,
     st: &mut FlatStacks,
     mut ip: usize,
-    stop: usize,
+    mut stop: usize,
     fuel: u64,
     executed: &mut u64,
+    mut group: impl FnMut(usize) -> usize,
 ) -> Result<SpanExit, VmError> {
     let insts = program.insts();
-    let limit = st.limit;
-    let rlimit = st.rlimit;
-    let buf = &mut st.buf;
-    let rbuf = &mut st.rbuf;
+    let buf = st.buf.as_mut_slice();
+    let rbuf = st.rbuf.as_mut_slice();
     let mut sp = st.sp;
     let mut rsp = st.rsp;
+    // count the fuel down: one register, no compare against `fuel`
+    let start = *executed;
+    let budget = fuel.saturating_sub(start);
+    let mut left = budget;
 
-    // Persist sp/rsp into `st` on every exit path, including errors:
-    // a trap must leave the logical stacks exactly as they were at the
+    // Persist sp/rsp/executed on every exit path, including errors: a
+    // trap must leave the logical stacks exactly as they were at the
     // faulting instruction so the caller can report or resume.
-    macro_rules! fail {
-        ($e:expr) => {{
+    macro_rules! save {
+        () => {{
             st.sp = sp;
             st.rsp = rsp;
+            *executed = start + (budget - left);
+        }};
+    }
+    macro_rules! fail {
+        ($e:expr) => {{
+            save!();
             return Err($e);
         }};
     }
-
     macro_rules! pop {
         ($cur:expr) => {{
             if MODE == CHECK_FULL && sp == 0 {
@@ -173,7 +203,7 @@ fn run_span_mode<const MODE: u8>(
     }
     macro_rules! push {
         ($cur:expr, $v:expr) => {{
-            if MODE < CHECK_NONE && sp >= limit {
+            if MODE < CHECK_NONE && sp >= buf.len() {
                 fail!(VmError::StackOverflow { ip: $cur });
             }
             buf[sp] = $v;
@@ -198,7 +228,7 @@ fn run_span_mode<const MODE: u8>(
     }
     macro_rules! rpush {
         ($cur:expr, $v:expr) => {{
-            if MODE < CHECK_NONE && rsp >= rlimit {
+            if MODE < CHECK_NONE && rsp >= rbuf.len() {
                 fail!(VmError::ReturnStackOverflow { ip: $cur });
             }
             rbuf[rsp] = $v;
@@ -220,22 +250,34 @@ fn run_span_mode<const MODE: u8>(
             buf[sp - 1] = $f(buf[sp - 1]);
         }};
     }
-    macro_rules! leave {
-        ($ip:expr) => {{
-            st.sp = sp;
-            st.rsp = rsp;
-            return Ok(SpanExit::Continue($ip));
+    // A control transfer: leave the span, or continue at the target
+    // (which starts a new group under `GROUPS`).
+    macro_rules! jump {
+        ($to:expr) => {{
+            let to = $to;
+            if EXIT == SPAN {
+                save!();
+                return Ok(SpanExit::Continue(to));
+            }
+            ip = to;
+            if EXIT == GROUPS {
+                stop = to;
+            }
+            continue;
         }};
     }
 
     loop {
-        if *executed >= fuel {
+        if left == 0 {
             fail!(VmError::FuelExhausted { ip });
         }
         let Some(&inst) = insts.get(ip) else {
             fail!(VmError::InstructionOutOfBounds { ip });
         };
-        *executed += 1;
+        if EXIT == GROUPS && ip == stop {
+            stop = ip + group(ip);
+        }
+        left -= 1;
         let cur = ip;
         ip += 1;
         match inst {
@@ -250,7 +292,7 @@ fn run_span_mode<const MODE: u8>(
                 if b == 0 {
                     fail!(VmError::DivisionByZero { ip: cur });
                 }
-                buf[sp - 2] = a.div_euclid(b);
+                buf[sp - 2] = a.wrapping_div_euclid(b);
                 sp -= 1;
             }
             Inst::Mod => {
@@ -260,7 +302,7 @@ fn run_span_mode<const MODE: u8>(
                 if b == 0 {
                     fail!(VmError::DivisionByZero { ip: cur });
                 }
-                buf[sp - 2] = a.rem_euclid(b);
+                buf[sp - 2] = a.wrapping_rem_euclid(b);
                 sp -= 1;
             }
             Inst::And => binop!(cur, |a: Cell, b: Cell| a & b),
@@ -467,17 +509,17 @@ fn run_span_mode<const MODE: u8>(
                     None => fail!(VmError::MemoryOutOfBounds { ip: cur, addr }),
                 }
             }
-            Inst::Branch(t) => leave!(t as usize),
+            Inst::Branch(t) => jump!(t as usize),
             Inst::BranchIfZero(t) => {
                 let f = pop!(cur);
                 if f == 0 {
-                    leave!(t as usize);
+                    jump!(t as usize);
                 }
-                leave!(ip);
+                jump!(ip);
             }
             Inst::Call(t) => {
                 rpush!(cur, ip as Cell);
-                leave!(t as usize);
+                jump!(t as usize);
             }
             Inst::Execute => {
                 let token = pop!(cur);
@@ -485,18 +527,17 @@ fn run_span_mode<const MODE: u8>(
                     fail!(VmError::InvalidExecutionToken { ip: cur, token });
                 }
                 rpush!(cur, ip as Cell);
-                leave!(token as usize);
+                jump!(token as usize);
             }
             Inst::Return => {
                 let ret = rpop!(cur);
                 if ret < 0 || ret as usize > insts.len() {
                     fail!(VmError::InstructionOutOfBounds { ip: ret as usize });
                 }
-                leave!(ret as usize);
+                jump!(ret as usize);
             }
             Inst::Halt => {
-                st.sp = sp;
-                st.rsp = rsp;
+                save!();
                 st.publish(machine);
                 return Ok(SpanExit::Halted);
             }
@@ -515,11 +556,11 @@ fn run_span_mode<const MODE: u8>(
                 let limit_v = buf[sp - 2];
                 sp -= 2;
                 if limit_v == start {
-                    leave!(t as usize);
+                    jump!(t as usize);
                 }
                 rpush!(cur, limit_v);
                 rpush!(cur, start);
-                leave!(ip);
+                jump!(ip);
             }
             Inst::LoopInc(t) => {
                 if MODE == CHECK_FULL && rsp < 2 {
@@ -529,10 +570,10 @@ fn run_span_mode<const MODE: u8>(
                 let limit_v = rbuf[rsp - 2];
                 if index == limit_v {
                     rsp -= 2;
-                    leave!(ip);
+                    jump!(ip);
                 }
                 rbuf[rsp - 1] = index;
-                leave!(t as usize);
+                jump!(t as usize);
             }
             Inst::PlusLoopInc(t) => {
                 let step = pop!(cur);
@@ -549,10 +590,10 @@ fn run_span_mode<const MODE: u8>(
                 };
                 if crossed {
                     rsp -= 2;
-                    leave!(ip);
+                    jump!(ip);
                 }
                 rbuf[rsp - 1] = new;
-                leave!(t as usize);
+                jump!(t as usize);
             }
             Inst::LoopI => {
                 if MODE == CHECK_FULL && rsp == 0 {
@@ -600,44 +641,8 @@ fn run_span_mode<const MODE: u8>(
             }
             Inst::Cr => machine.push_output_byte(b'\n'),
         }
-        if ip == stop {
-            leave!(ip);
-        }
-    }
-}
-
-/// Run a whole program through [`run_span`], one span at a time.
-///
-/// Functionally identical to [`crate::interp::run_baseline_with_checks`]
-/// — this is the pure-interpreter driver a JIT degrades to when native
-/// execution is unavailable, and the oracle under which `run_span`'s
-/// span-chopping is validated.
-///
-/// # Errors
-///
-/// Exactly those of [`crate::interp::run_baseline_with_checks`].
-pub fn run_spans(
-    program: &Program,
-    machine: &mut Machine,
-    fuel: u64,
-    checks: Checks,
-) -> Result<crate::interp::RunStats, VmError> {
-    let mut st = FlatStacks::from_machine(machine);
-    let mut ip = program.entry();
-    let mut executed = 0u64;
-    loop {
-        match run_span(
-            program,
-            machine,
-            &mut st,
-            ip,
-            usize::MAX,
-            fuel,
-            &mut executed,
-            checks,
-        )? {
-            SpanExit::Continue(next) => ip = next,
-            SpanExit::Halted => return Ok(crate::interp::RunStats { executed }),
+        if EXIT == SPAN && ip == stop {
+            jump!(ip);
         }
     }
 }
@@ -645,9 +650,37 @@ pub fn run_spans(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::run_baseline;
+    use crate::interp::{run_baseline, RunStats};
     use crate::program::{program_of, ProgramBuilder};
     use crate::rng::Rng;
+
+    /// Run a whole program through [`run_span`], one span per block: the
+    /// span-chopping driver the agreement tests compare with baseline.
+    fn run_spans(
+        program: &Program,
+        machine: &mut Machine,
+        fuel: u64,
+        checks: Checks,
+    ) -> Result<RunStats, VmError> {
+        let mut st = FlatStacks::from_machine(machine);
+        let mut ip = program.entry();
+        let mut executed = 0u64;
+        loop {
+            match run_span(
+                program,
+                machine,
+                &mut st,
+                ip,
+                usize::MAX,
+                fuel,
+                &mut executed,
+                checks,
+            )? {
+                SpanExit::Continue(next) => ip = next,
+                SpanExit::Halted => return Ok(RunStats { executed }),
+            }
+        }
+    }
 
     fn loop_program() -> Program {
         let mut b = ProgramBuilder::new();
