@@ -219,11 +219,11 @@ fn run_cluster(quick: bool) -> ExitCode {
          peak {} live connections ({} over budget)",
         report.proxy.forwarded_total(),
         report.proxy.forwarded,
-        report.proxy.replies,
-        report.proxy.busy_replies,
+        report.proxy.front.replies,
+        report.proxy.front.busy_replies,
         report.proxy.upstream_errors,
         report.flood_peak_live,
-        report.proxy.over_budget,
+        report.proxy.front.over_budget,
     );
     println!(
         "nodes: {:?} submits, {:?} replies, {} coalesced joins, {} executions saved",
@@ -285,10 +285,10 @@ fn run_cluster(quick: bool) -> ExitCode {
             report.flood_peak_live
         ));
     }
-    if report.proxy.over_budget > 0 {
+    if report.proxy.front.over_budget > 0 {
         failures.push(format!(
             "{} flood connections were refused under budget",
-            report.proxy.over_budget
+            report.proxy.front.over_budget
         ));
     }
     if let Err(e) = prometheus_lint(&report.prometheus()) {

@@ -474,7 +474,7 @@ fn run_flood(proxy: &NetProxy, cfg: &ClusterLoadConfig, cases: &[Case]) -> (Clus
         };
         held.push(stream);
     }
-    let peak_live = proxy.metrics().connections_live;
+    let peak_live = proxy.metrics().front.connections_live;
 
     // the healthy client must still get verified replies through the
     // crowd

@@ -5,7 +5,9 @@
 //! [--bind ADDR] [--max-window N] [--upstream-window N] [--vnodes N]
 //! [--label NAME] [--slow-ms N] [--sample-ppm N] [--trace-capacity N]`
 //!
-//! `--label` names the router on the spans it stamps; `--slow-ms` sets
+//! `--max-window` and `--vnodes` must be at least 1; a zero is refused
+//! at start with exit code 1. `--label` names the router on the spans
+//! it stamps; `--slow-ms` sets
 //! the tail-sampling threshold (a request slower than this is captured
 //! into the slow-trace store, alongside every trap and coalesced
 //! fanout); `--sample-ppm` head-samples about N in every million
@@ -15,8 +17,11 @@
 //!
 //! Connects to every `--node`, prints the bound address (`routing on
 //! HOST:PORT`) on stdout, then reads control lines from stdin:
-//! `metrics` prints the Prometheus page (per-node `proxy_forwarded_total`
-//! carries a `node` label), `json` the JSON document, `trace` the
+//! `metrics` prints the Prometheus page — the client-side front end's
+//! counters under `proxy_` (the same set a node exports under `net_`,
+//! bytes, submits and bad requests included), then the router's own
+//! (per-node `proxy_forwarded_total` carries a `node` label) —, `json`
+//! the JSON document, `trace` the
 //! tail-sampled trace trees as JSON, `stop` drains and exits. EOF on
 //! stdin leaves the router running until killed.
 
@@ -104,7 +109,7 @@ fn main() -> ExitCode {
                     "routed {} submissions across {} nodes ({} replies, {} upstream errors)",
                     snap.forwarded_total(),
                     snap.forwarded.len(),
-                    snap.replies,
+                    snap.front.replies,
                     snap.upstream_errors
                 );
                 return ExitCode::SUCCESS;

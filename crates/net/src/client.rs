@@ -63,7 +63,7 @@ impl From<io::Error> for ClientError {
 }
 
 /// The span summary riding a `ReplyTraced` frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TracedReply {
     /// Time the request waited in the node's queue, in nanoseconds.
     pub queue_wait_nanos: u64,

@@ -12,11 +12,16 @@
 //!   output, a memory-image hash, and per-request statistics; explicit
 //!   `Hello`/`Ping`/`Goodbye` control frames. Every malformed input is
 //!   a typed [`WireError`], never a panic;
-//! * **pipelining** ([`NetServer`]): the handshake grants each
-//!   connection an in-flight window; inside it, submissions flow
-//!   without waiting and replies return in *completion* order, matched
-//!   by client correlation ids. Past the window — or past the service
-//!   queue — the answer is an immediate typed `Busy`, the wire form of
+//! * **one front end, two backends**: the handshake, window, refusals,
+//!   drains and counters are written once and shared by the node
+//!   ([`NetServer`], in front of a local service) and the router
+//!   ([`NetProxy`], in front of a consistent-hash ring of nodes), so
+//!   both answer every frame the same way;
+//! * **pipelining**: the handshake grants each connection an in-flight
+//!   window; inside it, submissions flow without waiting and replies
+//!   return in *completion* order, matched by client correlation ids.
+//!   Past the window — or past the service queue — the answer is an
+//!   immediate typed `Busy`, the wire form of
 //!   [`SubmitError::QueueFull`](stackcache_svc::SubmitError);
 //! * **batched submission**: a `BatchSubmit` frame is admitted as one
 //!   service job — one queue slot, one proto-machine clone amortized
@@ -26,7 +31,8 @@
 //!   one connection;
 //! * **observability**: connection lifecycle and frame events in a
 //!   flight-recorder ring, counters on a lint-clean Prometheus/JSON
-//!   page next to the service's own.
+//!   page next to the service's own (`net_` on a node, the same
+//!   registry under `proxy_` on the router).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -57,6 +63,7 @@
 #![warn(clippy::all)]
 
 pub mod client;
+mod front;
 pub mod metrics;
 pub mod proxy;
 pub mod ring;
@@ -64,10 +71,11 @@ pub mod server;
 pub mod wire;
 
 pub use client::{Client, ClientError, PendingReply, TracedReply};
+pub use front::{ERR_EXPECTED_HELLO, ERR_UNEXPECTED_FRAME};
 pub use metrics::{NetMetrics, NetSnapshot};
 pub use proxy::{NetProxy, ProxyConfig, ProxySnapshot};
 pub use ring::{program_key, HashRing};
-pub use server::{NetConfig, NetServer, ERR_EXPECTED_HELLO, ERR_UNEXPECTED_FRAME};
+pub use server::{NetConfig, NetServer};
 pub use wire::{
     decode_frame, fnv1a64, read_frame, try_decode_frame, Frame, FrameKind, ReadError, ReplyStatus,
     WireError, WireReply, WireRequest, DEFAULT_MAX_FRAME, FEATURE_TRACE, HEADER_LEN, MAGIC,

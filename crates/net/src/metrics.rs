@@ -1,6 +1,10 @@
 //! Network front-end metrics: connection lifecycle, frame and byte
 //! traffic, backpressure, and protocol failures — atomic counters
 //! snapshotted on demand and rendered next to the service's own page.
+//!
+//! One registry serves both front ends: a node renders it under the
+//! `net_` prefix, the router under `proxy_` (followed by the router's
+//! own routing and sampling counters).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -139,9 +143,9 @@ pub struct NetSnapshot {
     pub bytes_in: u64,
     /// Payload bytes sent, headers included.
     pub bytes_out: u64,
-    /// `Submit` frames admitted to the service.
+    /// `Submit` frames admitted.
     pub submits: u64,
-    /// `BatchSubmit` frames admitted to the service.
+    /// `BatchSubmit` frames admitted.
     pub batch_submits: u64,
     /// Requests carried by admitted `BatchSubmit` frames.
     pub batch_items: u64,
@@ -173,104 +177,115 @@ pub struct NetSnapshot {
     pub over_budget: u64,
 }
 
-/// Render `snap` as a Prometheus text-format page fragment (lint-clean
-/// on its own, and safe to concatenate after the service's page).
+/// Render `snap` as a Prometheus text-format page fragment under the
+/// node's `net_` prefix (lint-clean on its own, and safe to concatenate
+/// after the service's page).
 #[must_use]
 pub fn prometheus(snap: &NetSnapshot) -> String {
     let mut p = PromText::new();
+    write_prometheus(&mut p, "net", snap);
+    p.finish()
+}
+
+/// Append `snap`'s counters to `p`, every name under `prefix`: `net`
+/// on a node, `proxy` on the router, so both pages come from one list.
+pub(crate) fn write_prometheus(p: &mut PromText, prefix: &str, snap: &NetSnapshot) {
     let counters: [(&str, &str, u64); 20] = [
         (
-            "net_connections_opened_total",
+            "connections_opened_total",
             "Connections accepted.",
             snap.connections_opened,
         ),
         (
-            "net_connections_closed_total",
+            "connections_closed_total",
             "Connections fully torn down.",
             snap.connections_closed,
         ),
-        ("net_frames_in_total", "Frames received.", snap.frames_in),
-        ("net_frames_out_total", "Frames sent.", snap.frames_out),
-        ("net_bytes_in_total", "Bytes received.", snap.bytes_in),
-        ("net_bytes_out_total", "Bytes sent.", snap.bytes_out),
+        ("frames_in_total", "Frames received.", snap.frames_in),
+        ("frames_out_total", "Frames sent.", snap.frames_out),
+        ("bytes_in_total", "Bytes received.", snap.bytes_in),
+        ("bytes_out_total", "Bytes sent.", snap.bytes_out),
+        ("submits_total", "Submit frames admitted.", snap.submits),
         (
-            "net_submits_total",
-            "Submit frames admitted to the service.",
-            snap.submits,
-        ),
-        (
-            "net_batch_submits_total",
-            "BatchSubmit frames admitted to the service.",
+            "batch_submits_total",
+            "BatchSubmit frames admitted.",
             snap.batch_submits,
         ),
         (
-            "net_batch_items_total",
+            "batch_items_total",
             "Requests carried by admitted BatchSubmit frames.",
             snap.batch_items,
         ),
-        ("net_replies_total", "Reply frames written.", snap.replies),
+        ("replies_total", "Reply frames written.", snap.replies),
         (
-            "net_busy_replies_total",
+            "busy_replies_total",
             "Replies refused with Busy (backpressure).",
             snap.busy_replies,
         ),
         (
-            "net_bad_requests_total",
+            "bad_requests_total",
             "Replies refused with BadRequest (validation).",
             snap.bad_requests,
         ),
         (
-            "net_protocol_errors_total",
+            "protocol_errors_total",
             "Connections ended by a protocol violation.",
             snap.protocol_errors,
         ),
-        ("net_pings_total", "Ping frames answered.", snap.pings),
+        ("pings_total", "Ping frames answered.", snap.pings),
         (
-            "net_traced_submits_total",
+            "traced_submits_total",
             "Requests admitted with a trace context.",
             snap.traced_submits,
         ),
         (
-            "net_trace_fetches_total",
+            "trace_fetches_total",
             "TraceFetch frames answered.",
             snap.trace_fetches,
         ),
         (
-            "net_metrics_fetches_total",
+            "metrics_fetches_total",
             "MetricsFetch frames answered (in-protocol scrape).",
             snap.metrics_fetches,
         ),
         (
-            "net_evicted_idle_total",
+            "evicted_idle_total",
             "Connections evicted by the idle timeout.",
             snap.evicted_idle,
         ),
         (
-            "net_evicted_stall_total",
+            "evicted_stall_total",
             "Connections evicted for not draining replies.",
             snap.evicted_stall,
         ),
         (
-            "net_over_budget_total",
+            "over_budget_total",
             "Accepts refused because the connection budget was full.",
             snap.over_budget,
         ),
     ];
     for (name, help, value) in counters {
-        p.help(name, help);
-        p.typ(name, "counter");
-        p.sample_u64(name, &[], value);
+        let name = format!("{prefix}_{name}");
+        p.help(&name, help);
+        p.typ(&name, "counter");
+        p.sample_u64(&name, &[], value);
     }
-    p.help("net_connections_live", "Currently live connections.");
-    p.typ("net_connections_live", "gauge");
-    p.sample_u64("net_connections_live", &[], snap.connections_live);
-    p.finish()
+    let live = format!("{prefix}_connections_live");
+    p.help(&live, "Currently live connections.");
+    p.typ(&live, "gauge");
+    p.sample_u64(&live, &[], snap.connections_live);
 }
 
 /// Render `snap` as a JSON object.
 #[must_use]
 pub fn json(snap: &NetSnapshot) -> String {
     let mut o = JsonObj::new();
+    write_json(&mut o, snap);
+    o.finish()
+}
+
+/// Append `snap`'s counters to `o` as fields.
+pub(crate) fn write_json(o: &mut JsonObj, snap: &NetSnapshot) {
     o.field_u64("connections_opened", snap.connections_opened)
         .field_u64("connections_closed", snap.connections_closed)
         .field_u64("frames_in", snap.frames_in)
@@ -292,7 +307,6 @@ pub fn json(snap: &NetSnapshot) -> String {
         .field_u64("evicted_idle", snap.evicted_idle)
         .field_u64("evicted_stall", snap.evicted_stall)
         .field_u64("over_budget", snap.over_budget);
-    o.finish()
 }
 
 #[cfg(test)]

@@ -34,11 +34,23 @@ pub fn program_key(program: &Program) -> u64 {
     fnv1a64(&bytes)
 }
 
+/// SplitMix64's output finalizer. FNV-1a places inputs that differ only
+/// in a few early bytes followed by zeros — node labels that differ in
+/// the port, each salted with a little-endian replica number — on
+/// correlated, nearly evenly spaced positions, so one of two nodes
+/// could own over 90% of the ring. Every ring position and every key
+/// goes through this mix first.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A consistent-hash ring mapping `u64` keys to node indexes.
 ///
 /// Each node is hashed onto the ring `vnodes` times (salted by replica
 /// number); a key routes to the first vnode clockwise from its own
-/// hash. Routing is deterministic for a fixed node list.
+/// (mixed) hash. Routing is deterministic for a fixed node list.
 #[derive(Debug, Clone)]
 pub struct HashRing {
     /// `(position, node index)`, sorted by position.
@@ -64,7 +76,7 @@ impl HashRing {
                 let mut salted = Vec::with_capacity(label.len() + 8);
                 salted.extend_from_slice(label.as_bytes());
                 salted.extend_from_slice(&(replica as u64).to_le_bytes());
-                points.push((fnv1a64(&salted), node));
+                points.push((mix(fnv1a64(&salted)), node));
             }
         }
         points.sort_unstable();
@@ -84,6 +96,7 @@ impl HashRing {
     /// after the key's position, wrapping at the top.
     #[must_use]
     pub fn route(&self, key: u64) -> usize {
+        let key = mix(key);
         let idx = self.points.partition_point(|&(pos, _)| pos < key);
         let (_, node) = self.points[idx % self.points.len()];
         node
@@ -120,6 +133,28 @@ mod tests {
             assert!(
                 c > 40_000 / 4 / 4,
                 "node {node} got only {c} of 40000 keys — the ring is badly skewed: {counts:?}"
+            );
+        }
+    }
+
+    /// Two nodes whose labels differ only in the port (the usual case:
+    /// two processes on one host) must each own a fair share of the
+    /// ring. Unmixed FNV positions left one of them as little as 4%.
+    #[test]
+    fn two_neighbouring_ports_split_the_ring_fairly() {
+        for port in 40_000..40_040 {
+            let labels = [
+                format!("127.0.0.1:{port}"),
+                format!("127.0.0.1:{}", port + 1),
+            ];
+            let ring = HashRing::new(&labels, 64);
+            let first = (0..2_000u64)
+                .filter(|i| ring.route(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) == 0)
+                .count();
+            assert!(
+                (600..=1_400).contains(&first),
+                "ports {port}/{}: node 0 owns {first} of 2000 keys",
+                port + 1
             );
         }
     }

@@ -7,13 +7,17 @@
 
 mod util;
 
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 use stackcache_core::EngineRegime;
 use stackcache_net::{
-    Client, NetConfig, NetProxy, NetServer, ProxyConfig, ReplyStatus, WireRequest,
+    read_frame, Client, Frame, NetConfig, NetProxy, NetServer, ProxyConfig, ReplyStatus,
+    WireRequest, DEFAULT_MAX_FRAME, HEADER_LEN,
 };
+use stackcache_obs::prometheus_lint;
 use stackcache_svc::{Service, ServiceConfig};
 use util::{quick_program, reference_outcome, slow_program};
 
@@ -74,7 +78,7 @@ fn routed_replies_are_verified_and_both_nodes_carry_traffic() {
 
     let snap = proxy.metrics();
     assert_eq!(snap.forwarded_total(), submitted);
-    assert_eq!(snap.replies, submitted);
+    assert_eq!(snap.front.replies, submitted);
     assert_eq!(snap.upstream_errors, 0);
     assert!(
         snap.forwarded.iter().all(|&n| n > 0),
@@ -137,7 +141,7 @@ fn batch_items_are_unbundled_and_routed_independently() {
 
     let snap = proxy.metrics();
     assert_eq!(snap.forwarded_total(), 12);
-    assert_eq!(snap.replies, 12);
+    assert_eq!(snap.front.replies, 12);
     client.goodbye().expect("drain");
     shut_down(nodes, proxy);
 }
@@ -220,4 +224,78 @@ fn router_survives_node_loss_with_typed_replies() {
         "node loss must surface as typed ShutDown replies"
     );
     let _ = proxy.shutdown();
+}
+
+/// The `# TYPE` names on `page` that start with `prefix`, prefix cut.
+fn metric_names<'a>(page: &'a str, prefix: &str) -> Vec<&'a str> {
+    page.lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .filter_map(|line| line.split(' ').next())
+        .filter_map(|name| name.strip_prefix(prefix))
+        .collect()
+}
+
+/// The router's client side is the nodes' front end: every `net_`
+/// counter a node exports has a `proxy_` twin on the router's page, and
+/// the twins count the router's own traffic — bytes, submits, batches
+/// and malformed request bodies included.
+#[test]
+fn every_front_end_counter_has_a_proxy_twin() {
+    let (nodes, proxy) = start_cluster(false);
+    let client = Client::connect(proxy.addr(), 8).expect("connect");
+    let requests: Vec<_> = (2..5)
+        .map(|k| WireRequest::new(quick_program(k), EngineRegime::Tos).fuel(100_000))
+        .collect();
+    assert_eq!(
+        client.call(&requests[0]).expect("reply").status,
+        ReplyStatus::Ok
+    );
+    for pending in client.submit_batch(&requests).expect("batch") {
+        assert_eq!(pending.wait().expect("batch reply").status, ReplyStatus::Ok);
+    }
+    client.goodbye().expect("drain");
+
+    // a sound frame with an invalid request body: BadRequest, counted
+    let stream = TcpStream::connect(proxy.addr()).expect("connect");
+    let mut bad = Frame::Submit {
+        corr: 9,
+        request: requests[0].clone(),
+    }
+    .encode();
+    bad[HEADER_LEN] = EngineRegime::ALL.len() as u8; // no such regime
+    let mut w = stream.try_clone().expect("clone");
+    w.write_all(&Frame::Hello { window: 4 }.encode())
+        .expect("hello");
+    w.write_all(&bad).expect("bad submit");
+    w.flush().expect("flush");
+    let mut r = BufReader::new(stream);
+    assert!(matches!(
+        read_frame(&mut r, DEFAULT_MAX_FRAME),
+        Ok(Some((Frame::HelloOk { .. }, _)))
+    ));
+    let Ok(Some((Frame::Reply { corr: 9, reply }, _))) = read_frame(&mut r, DEFAULT_MAX_FRAME)
+    else {
+        panic!("expected a BadRequest reply");
+    };
+    assert_eq!(reply.status, ReplyStatus::BadRequest);
+    drop(r);
+
+    let node_page = nodes[0].prometheus();
+    let proxy_page = proxy.prometheus();
+    prometheus_lint(&proxy_page).expect("proxy page must lint clean");
+    let front = metric_names(&node_page, "net_");
+    assert_eq!(front.len(), 21, "the front end's registry: {front:?}");
+    let twins = metric_names(&proxy_page, "proxy_");
+    for name in &front {
+        assert!(twins.contains(name), "net_{name} has no proxy_{name} twin");
+    }
+
+    let snap = proxy.metrics().front;
+    assert_eq!(
+        (snap.submits, snap.batch_submits, snap.batch_items),
+        (1, 1, 3)
+    );
+    assert_eq!(snap.bad_requests, 1);
+    assert!(snap.bytes_in > 0 && snap.bytes_out > 0);
+    shut_down(nodes, proxy);
 }

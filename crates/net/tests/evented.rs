@@ -2,20 +2,22 @@
 //! over live loopback sockets: window clamping against absurd Hello
 //! requests, half-open drains, idle eviction that leaves healthy
 //! neighbors alone, the connection budget, and the client's
-//! goodbye-drain semantics.
+//! goodbye-drain semantics. The window clamp and the Goodbye drain run
+//! against both front ends, a node and a router.
 
 mod util;
 
-use std::io::{BufReader, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::mpsc;
 use std::time::Duration;
 
 use stackcache_core::EngineRegime;
 use stackcache_net::{
-    read_frame, Client, Frame, NetConfig, NetServer, ReplyStatus, WireRequest, DEFAULT_MAX_FRAME,
+    read_frame, Client, Frame, NetConfig, NetProxy, NetServer, ProxyConfig, ReplyStatus,
+    WireRequest, DEFAULT_MAX_FRAME,
 };
-use util::{quick_program, reference_outcome, slow_program, small_service};
+use util::{quick_program, reference_outcome, slow_program, small_service, FrontEnd};
 
 /// Complete the Hello handshake on a raw stream, returning the granted
 /// window.
@@ -33,28 +35,90 @@ fn raw_handshake(stream: &TcpStream, want: u32) -> u32 {
 
 #[test]
 fn absurd_hello_windows_are_clamped_to_the_configured_cap() {
+    let fronts = [
+        FrontEnd::server(
+            1,
+            NetConfig {
+                max_window: 7,
+                ..NetConfig::default()
+            },
+        ),
+        FrontEnd::proxy(
+            1,
+            ProxyConfig {
+                max_window: 7,
+                ..ProxyConfig::default()
+            },
+        ),
+    ];
+    for front in fronts {
+        // a u32::MAX request must not be granted (the front end would
+        // promise four billion in-flight slots); it gets the configured
+        // cap
+        let greedy = TcpStream::connect(front.addr()).expect("connect");
+        assert_eq!(raw_handshake(&greedy, u32::MAX), 7, "{}", front.name());
+
+        // a zero request still grants one slot — a window of zero could
+        // never carry a request
+        let tiny = TcpStream::connect(front.addr()).expect("connect");
+        assert_eq!(raw_handshake(&tiny, 0), 1, "{}", front.name());
+
+        drop(greedy);
+        drop(tiny);
+        let _ = front.shutdown();
+    }
+}
+
+/// A zero window would leave every connection unable to carry a request
+/// (and once panicked the poller at the first Hello); a ring with zero
+/// points per node could route nothing. Both are refused at start.
+#[test]
+fn zero_window_and_zero_vnodes_are_refused_at_start() {
     let server = NetServer::start(
         small_service(1),
         NetConfig {
-            max_window: 7,
+            max_window: 0,
             ..NetConfig::default()
         },
-    )
-    .expect("bind");
+    );
+    assert_eq!(
+        server.err().map(|e| e.kind()),
+        Some(io::ErrorKind::InvalidInput),
+        "server with max_window 0"
+    );
 
-    // a u32::MAX request must not be granted (the server would promise
-    // four billion in-flight slots); it gets the configured cap
-    let greedy = TcpStream::connect(server.addr()).expect("connect");
-    assert_eq!(raw_handshake(&greedy, u32::MAX), 7);
+    let node = NetServer::start(small_service(1), NetConfig::default()).expect("bind");
+    let nodes = vec![node.addr().to_string()];
+    let zero_window = NetProxy::start(ProxyConfig {
+        nodes: nodes.clone(),
+        max_window: 0,
+        ..ProxyConfig::default()
+    });
+    assert_eq!(
+        zero_window.err().map(|e| e.kind()),
+        Some(io::ErrorKind::InvalidInput),
+        "proxy with max_window 0"
+    );
+    let zero_vnodes = NetProxy::start(ProxyConfig {
+        nodes,
+        vnodes: 0,
+        ..ProxyConfig::default()
+    });
+    assert_eq!(
+        zero_vnodes.err().map(|e| e.kind()),
+        Some(io::ErrorKind::InvalidInput),
+        "proxy with vnodes 0"
+    );
 
-    // a zero request still grants one slot — a window of zero could
-    // never carry a request
-    let tiny = TcpStream::connect(server.addr()).expect("connect");
-    assert_eq!(raw_handshake(&tiny, 0), 1);
-
-    drop(greedy);
-    drop(tiny);
-    let _ = server.shutdown();
+    // the node is untouched and still serves
+    let client = Client::connect(node.addr(), 4).expect("connect");
+    let request = WireRequest::new(quick_program(3), EngineRegime::Tos).fuel(100_000);
+    assert_eq!(
+        client.call(&request).expect("reply").status,
+        ReplyStatus::Ok
+    );
+    client.goodbye().expect("drain");
+    let _ = node.shutdown();
 }
 
 #[test]
@@ -194,24 +258,24 @@ fn goodbye_drains_late_replies_before_closing() {
     // one worker: the pipelined requests are still queued (their
     // replies outstanding) when Goodbye goes out, so the drain contract
     // — every reply, then GoodbyeOk — is actually exercised
-    let server = NetServer::start(small_service(1), NetConfig::default()).expect("bind");
-    let client = Client::connect(server.addr(), 8).expect("connect");
+    for front in FrontEnd::both(1) {
+        let client = Client::connect(front.addr(), 8).expect("connect");
 
-    let request =
-        WireRequest::new(slow_program(100_000), EngineRegime::Reference).fuel(1_000_000_000);
-    let pending: Vec<_> = (0..4)
-        .map(|_| client.submit(&request).expect("submit"))
-        .collect();
-    client.goodbye().expect("drain acknowledged");
+        let request =
+            WireRequest::new(slow_program(100_000), EngineRegime::Reference).fuel(1_000_000_000);
+        let pending: Vec<_> = (0..4)
+            .map(|_| client.submit(&request).expect("submit"))
+            .collect();
+        client.goodbye().expect("drain acknowledged");
 
-    // the drain delivered every late reply before the GoodbyeOk
-    for p in pending {
-        let reply = p.wait().expect("reply delivered during the drain");
-        assert_eq!(reply.status, ReplyStatus::Ok);
+        // the drain delivered every late reply before the GoodbyeOk
+        for p in pending {
+            let reply = p.wait().expect("reply delivered during the drain");
+            assert_eq!(reply.status, ReplyStatus::Ok, "{}", front.name());
+        }
+        assert_eq!(front.metrics().replies, 4, "{}", front.name());
+        let _ = front.shutdown();
     }
-    let net = server.metrics();
-    assert_eq!(net.replies, 4);
-    let _ = server.shutdown();
 }
 
 #[test]

@@ -2,10 +2,11 @@
 
 #![allow(dead_code)] // each test binary uses its own subset
 
+use std::net::SocketAddr;
 use std::sync::Arc;
 
 use stackcache_harness::{all_engines, Outcome};
-use stackcache_net::WireRequest;
+use stackcache_net::{NetConfig, NetProxy, NetServer, NetSnapshot, ProxyConfig, WireRequest};
 use stackcache_svc::{Service, ServiceConfig};
 use stackcache_vm::{program_of, Inst, Machine, Program};
 
@@ -48,4 +49,76 @@ pub fn small_service(workers: usize) -> Service {
         queue_capacity: 256,
         ..ServiceConfig::default()
     })
+}
+
+/// A client-facing front end under test: a bare node, or a one-node
+/// router in front of one. Both speak the same protocol, so the
+/// protocol suites run against each.
+pub enum FrontEnd {
+    Server(NetServer),
+    Proxy { proxy: NetProxy, node: NetServer },
+}
+
+impl FrontEnd {
+    /// A node of `workers` workers with `config`.
+    pub fn server(workers: usize, config: NetConfig) -> FrontEnd {
+        FrontEnd::Server(NetServer::start(small_service(workers), config).expect("bind node"))
+    }
+
+    /// A router with `config` (its node list filled in) in front of one
+    /// default node of `workers` workers.
+    pub fn proxy(workers: usize, config: ProxyConfig) -> FrontEnd {
+        let node =
+            NetServer::start(small_service(workers), NetConfig::default()).expect("bind node");
+        let proxy = NetProxy::start(ProxyConfig {
+            nodes: vec![node.addr().to_string()],
+            ..config
+        })
+        .expect("start router");
+        FrontEnd::Proxy { proxy, node }
+    }
+
+    /// Both kinds with default settings, `workers` workers each.
+    pub fn both(workers: usize) -> [FrontEnd; 2] {
+        [
+            FrontEnd::server(workers, NetConfig::default()),
+            FrontEnd::proxy(workers, ProxyConfig::default()),
+        ]
+    }
+
+    pub fn name(&self) -> &'static str {
+        match self {
+            FrontEnd::Server(_) => "server",
+            FrontEnd::Proxy { .. } => "proxy",
+        }
+    }
+
+    /// Where clients connect.
+    pub fn addr(&self) -> SocketAddr {
+        match self {
+            FrontEnd::Server(server) => server.addr(),
+            FrontEnd::Proxy { proxy, .. } => proxy.addr(),
+        }
+    }
+
+    /// The client-facing front end's counters.
+    pub fn metrics(&self) -> NetSnapshot {
+        match self {
+            FrontEnd::Server(server) => server.metrics(),
+            FrontEnd::Proxy { proxy, .. } => proxy.metrics().front,
+        }
+    }
+
+    /// Drain and stop everything; the client-facing front end's final
+    /// counters.
+    pub fn shutdown(self) -> NetSnapshot {
+        match self {
+            FrontEnd::Server(server) => server.shutdown().1,
+            FrontEnd::Proxy { proxy, node } => {
+                let front = proxy.shutdown().front;
+                let _ = node.shutdown();
+                front
+            }
+        }
+    }
 }

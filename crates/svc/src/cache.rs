@@ -10,12 +10,18 @@
 //! prototype machines soundly.
 //!
 //! Keys are a 64-bit hash of the program's instructions and entry point
-//! plus the execution configuration; values are cheaply clonable
-//! [`VerifiedArtifact`]s. Shards bound lock contention: two workers
-//! compiling different programs almost never touch the same lock, and
-//! compilation itself happens *outside* the shard lock (two workers
-//! racing on the same cold key may both compile — the winner's artifact
-//! is kept, which is cheaper than serializing every miss behind a lock).
+//! (keyed per cache, so colliding texts cannot be precomputed) plus the
+//! execution configuration; values are cheaply clonable
+//! [`VerifiedArtifact`]s. A key match is not identity: a hit is served
+//! only when the entry was built from the request's exact program text,
+//! because its proof may admit unchecked native code. Any other match
+//! is a miss whose fresh translation replaces the entry.
+//!
+//! Shards bound lock contention: two workers compiling different
+//! programs almost never touch the same lock, and compilation itself
+//! happens *outside* the shard lock (two workers racing on the same cold
+//! key may both compile — the winner's artifact is kept, which is
+//! cheaper than serializing every miss behind a lock).
 //!
 //! Each shard is capacity-bounded with **second-chance** (clock)
 //! eviction: a hit marks its entry referenced; an insert into a full
@@ -24,9 +30,8 @@
 //! survive a scan of one-shot programs, at one bit of bookkeeping per
 //! entry — no recency list to maintain on the hit path.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -38,6 +43,9 @@ use stackcache_vm::{FusionPlan, Machine, Program};
 /// for its program — the unit the cache stores and workers execute.
 #[derive(Debug)]
 pub struct VerifiedArtifact {
+    /// The program text the translation and the proof were made from
+    /// (the translation's own program differs when peephole-optimized).
+    source: Arc<Program>,
     artifact: CompiledArtifact,
     analysis: Analysis,
     /// Whether the deep (re-admission) analysis budget has already been
@@ -74,11 +82,23 @@ impl VerifiedArtifact {
         proto: Option<&Machine>,
         plan: Option<&FusionPlan>,
     ) -> Self {
+        let artifact = CompiledArtifact::compile_with_plan(program, regime, peephole, plan);
+        let source = if peephole {
+            Arc::new(program.clone())
+        } else {
+            Arc::clone(artifact.program())
+        };
         VerifiedArtifact {
-            artifact: CompiledArtifact::compile_with_plan(program, regime, peephole, plan),
+            source,
+            artifact,
             analysis: analyze(program, proto),
             deep: false,
         }
+    }
+
+    /// Whether this entry was built from exactly `program`'s text.
+    fn built_from(&self, program: &Program) -> bool {
+        self.source.entry() == program.entry() && self.source.insts() == program.insts()
     }
 
     /// The compiled translation.
@@ -129,14 +149,6 @@ fn plan_hash(regime: EngineRegime, plan: Option<&FusionPlan>) -> u64 {
         EngineRegime::Fused | EngineRegime::Quickened => plan.map_or(1, FusionPlan::hash64),
         _ => 0,
     }
-}
-
-/// Content hash of a program: entry point and instruction sequence.
-fn program_hash(program: &Program) -> u64 {
-    let mut h = DefaultHasher::new();
-    program.entry().hash(&mut h);
-    program.insts().hash(&mut h);
-    h.finish()
 }
 
 /// One cached artifact plus its second-chance reference bit.
@@ -196,6 +208,8 @@ pub struct ProgramCache {
     /// Per-shard entry bound (total capacity divided across shards).
     shard_capacity: usize,
     evictions: AtomicU64,
+    /// Keys the program hash and the shard choice, fresh per cache.
+    hasher: RandomState,
 }
 
 /// How a lookup was satisfied.
@@ -257,13 +271,29 @@ impl ProgramCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             shard_capacity: capacity.div_ceil(shards).max(1),
             evictions: AtomicU64::new(0),
+            hasher: RandomState::new(),
+        }
+    }
+
+    /// The key of `program` under one compilation configuration: a
+    /// content hash of its entry point and instruction sequence.
+    fn key(
+        &self,
+        program: &Program,
+        regime: EngineRegime,
+        peephole: bool,
+        plan: Option<&FusionPlan>,
+    ) -> Key {
+        Key {
+            program: self.hasher.hash_one((program.entry(), program.insts())),
+            regime,
+            peephole,
+            plan: plan_hash(regime, plan),
         }
     }
 
     fn shard(&self, key: &Key) -> &Mutex<Shard> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+        &self.shards[(self.hasher.hash_one(key) as usize) % self.shards.len()]
     }
 
     /// The verified artifact for `(program, regime, peephole)`, compiling
@@ -293,32 +323,40 @@ impl ProgramCache {
         proto: Option<&Machine>,
         plan: Option<&FusionPlan>,
     ) -> (Arc<VerifiedArtifact>, Lookup) {
-        let key = Key {
-            program: program_hash(program),
-            regime,
-            peephole,
-            plan: plan_hash(regime, plan),
-        };
+        let key = self.key(program, regime, peephole, plan);
         let shard = self.shard(&key);
-        if let Some(e) = shard.lock().expect("cache shard lock").map.get_mut(&key) {
+        let mut guard = shard.lock().expect("cache shard lock");
+        if let Some(e) = guard
+            .map
+            .get_mut(&key)
+            .filter(|e| e.artifact.built_from(program))
+        {
             e.referenced = true;
             return (Arc::clone(&e.artifact), Lookup::Hit);
         }
+        drop(guard);
         // compile and analyze outside the lock: a racing worker may also
         // compile this key, and the first insert wins
         let compiled = Arc::new(VerifiedArtifact::build_with_plan(
             program, regime, peephole, proto, plan,
         ));
         let mut guard = shard.lock().expect("cache shard lock");
-        if let Some(e) = guard.map.get_mut(&key) {
-            e.referenced = true;
-            return (Arc::clone(&e.artifact), Lookup::Hit);
+        match guard.map.get_mut(&key) {
+            Some(e) if e.artifact.built_from(program) => {
+                e.referenced = true;
+                return (Arc::clone(&e.artifact), Lookup::Hit);
+            }
+            // another program's entry under the same key: the request's
+            // own translation replaces it
+            Some(e) => e.artifact = Arc::clone(&compiled),
+            None => {
+                let evicted = guard.insert(key, Arc::clone(&compiled), self.shard_capacity);
+                if evicted > 0 {
+                    self.evictions.fetch_add(evicted, Ordering::Relaxed);
+                }
+            }
         }
-        let evicted = guard.insert(key, Arc::clone(&compiled), self.shard_capacity);
         drop(guard);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
         // A profile cycle introducing an explicit fusion plan is the
         // serving layer's quickening-rewrite event: retire the template
         // JIT's block cache so no run can pair new dispatch decisions
@@ -376,6 +414,7 @@ impl ProgramCache {
                     }
                 }
                 let replacement = Arc::new(VerifiedArtifact {
+                    source: Arc::clone(&old.source),
                     artifact: old.artifact().clone(),
                     analysis: if improved {
                         deep
@@ -747,6 +786,38 @@ mod tests {
             },
             "one deep analysis ever, despite repeated passes and hits"
         );
+        assert_eq!(cache.len(), 1);
+    }
+
+    /// A 64-bit key match is not program identity: an entry built from
+    /// `p2` but filed under `p1`'s key must never be served for `p1` —
+    /// not its translation, and above all not its safety proof.
+    #[test]
+    fn a_key_collision_is_a_miss_not_a_foreign_artifact() {
+        let cache = ProgramCache::new(1);
+        let key = cache.key(&p1(), EngineRegime::Tos, false, None);
+        let planted = Arc::new(VerifiedArtifact::build(
+            &p2(),
+            EngineRegime::Tos,
+            false,
+            None,
+        ));
+        cache
+            .shard(&key)
+            .lock()
+            .unwrap()
+            .insert(key, Arc::clone(&planted), cache.shard_capacity);
+
+        let (v, l) = cache.get_or_compile(&p1(), EngineRegime::Tos, false, None);
+        assert_eq!(l, Lookup::Miss);
+        assert!(!Arc::ptr_eq(&v, &planted));
+        assert_eq!(v.artifact().program().insts(), p1().insts());
+        assert_eq!(v.proof(), &analyze(&p1(), None).proof);
+
+        // the request's own translation replaced the foreign entry
+        let (again, l) = cache.get_or_compile(&p1(), EngineRegime::Tos, false, None);
+        assert_eq!(l, Lookup::Hit);
+        assert!(Arc::ptr_eq(&again, &v));
         assert_eq!(cache.len(), 1);
     }
 
