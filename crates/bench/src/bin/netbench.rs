@@ -196,7 +196,6 @@ fn run_cluster(quick: bool) -> ExitCode {
     let mut cfg = ClusterLoadConfig::default();
     if quick {
         cfg.requests_per_conn = 300;
-        cfg.programs = 4;
         cfg.flood_probes = 10;
     }
     println!(
@@ -253,10 +252,10 @@ fn run_cluster(quick: bool) -> ExitCode {
             "only {routed_requests} verified requests — the full run must drive at least 10000"
         ));
     }
-    if report.proxy.forwarded.contains(&0) {
+    if report.proxy.forwarded != report.expected_forwarded {
         failures.push(format!(
-            "the ring left a node idle: {:?}",
-            report.proxy.forwarded
+            "router forwarded {:?} per node, but the ring places the sent requests {:?}",
+            report.proxy.forwarded, report.expected_forwarded
         ));
     }
     let node_submits: u64 = report

@@ -6,9 +6,11 @@
 //! 1. **Routed** — concurrent client connections pipeline generated
 //!    programs through the router across every engine regime (fused and
 //!    quickened included), every reply verified against the reference
-//!    interpreter. The ring's placement is asserted from the nodes' own
-//!    counters: every node carries traffic, and the total the router
-//!    claims to have forwarded equals what the nodes saw.
+//!    interpreter. The ring's placement is asserted exactly: every sent
+//!    request's program key, routed through a ring built from the same
+//!    node labels and vnodes, predicts the router's per-node forwarded
+//!    counts, and the total the router claims to have forwarded equals
+//!    what the nodes saw.
 //! 2. **Coalesce** — every connection floods the same slow program at
 //!    once; the ring concentrates the burst on one node, whose service
 //!    must run it far fewer times than it answers, with byte-identical
@@ -30,8 +32,8 @@ use std::time::{Duration, Instant};
 use stackcache_core::EngineRegime;
 use stackcache_harness::{gen, Outcome, MEMORY_BYTES};
 use stackcache_net::{
-    proxy, read_frame, Client, Frame, NetConfig, NetProxy, NetServer, NetSnapshot, ProxyConfig,
-    ProxySnapshot, ReplyStatus, WireRequest, DEFAULT_MAX_FRAME,
+    program_key, proxy, read_frame, Client, Frame, HashRing, NetConfig, NetProxy, NetServer,
+    NetSnapshot, ProxyConfig, ProxySnapshot, ReplyStatus, WireRequest, DEFAULT_MAX_FRAME,
 };
 use stackcache_obs::PromText;
 use stackcache_svc::{MetricsSnapshot, Service, ServiceConfig};
@@ -150,6 +152,10 @@ pub struct ClusterReport {
     pub flood_peak_live: u64,
     /// Identical-burst replies that were not byte-identical.
     pub fanout_mismatches: usize,
+    /// Per-node request counts the ring's placement predicts for every
+    /// request sent through the router; the router's own `forwarded`
+    /// counts must equal it.
+    pub expected_forwarded: Vec<u64>,
 }
 
 impl ClusterReport {
@@ -296,6 +302,9 @@ fn nth_request(cases: &[Case], i: usize) -> (&Case, WireRequest) {
     (case, request)
 }
 
+/// Iterations of the coalesce phase's countdown loop.
+const COALESCE_ITERS: i64 = 150_000;
+
 /// A countdown loop slow enough that an identical burst is still
 /// in flight together when the coalescer sees it.
 fn slow_program(iters: i64) -> Arc<Program> {
@@ -395,7 +404,7 @@ fn run_coalesce(
     proxy_addr: std::net::SocketAddr,
     cfg: &ClusterLoadConfig,
 ) -> (ClusterPhase, usize) {
-    let program = slow_program(150_000);
+    let program = slow_program(COALESCE_ITERS);
     let request = WireRequest::new(Arc::clone(&program), EngineRegime::Reference).fuel(cfg.fuel);
     let expected = reference_outcome(&program, &Machine::with_memory(MEMORY_BYTES), cfg.fuel);
     let start = Instant::now();
@@ -509,6 +518,25 @@ fn run_flood(proxy: &NetProxy, cfg: &ClusterLoadConfig, cases: &[Case]) -> (Clus
     )
 }
 
+/// Per-node counts of every request the three phases send, placed by
+/// `ring` on its program key: what the router must report forwarded.
+fn expected_placement(ring: &HashRing, cfg: &ClusterLoadConfig, cases: &[Case]) -> Vec<u64> {
+    let mut counts = vec![0u64; cfg.nodes];
+    let mut place =
+        |program: &Program, n: usize| counts[ring.route(program_key(program))] += n as u64;
+    for i in 0..cfg.connections * cfg.requests_per_conn {
+        place(&nth_request(cases, i).1.program, 1);
+    }
+    place(
+        &slow_program(COALESCE_ITERS),
+        cfg.connections * cfg.coalesce_burst,
+    );
+    for i in 0..cfg.flood_probes {
+        place(&nth_request(cases, i).1.program, 1);
+    }
+    counts
+}
+
 /// Run the whole cluster load: nodes + router up, the three phases,
 /// then an orderly teardown. Every reply is verified.
 #[must_use]
@@ -532,16 +560,18 @@ pub fn run_clusterload(cfg: &ClusterLoadConfig) -> ClusterReport {
         addrs.push(server.addr().to_string());
         nodes.push(server);
     }
-    let proxy = NetProxy::start(ProxyConfig {
+    let proxy_config = ProxyConfig {
         nodes: addrs,
         max_window: cfg.window.max(64),
         upstream_window: 256,
         max_connections: cfg.flood_connections + cfg.connections + 64,
         ..ProxyConfig::default()
-    })
-    .expect("start proxy");
+    };
+    let ring = HashRing::new(&proxy_config.nodes, proxy_config.vnodes);
+    let proxy = NetProxy::start(proxy_config).expect("start proxy");
 
     let cases = Arc::new(build_cases(cfg));
+    let expected_forwarded = expected_placement(&ring, cfg, &cases);
     let routed = run_routed(proxy.addr(), cfg, &cases);
     let (coalesce, fanout_mismatches) = run_coalesce(proxy.addr(), cfg);
     let (flood, flood_peak_live) = run_flood(&proxy, cfg, &cases);
@@ -562,5 +592,6 @@ pub fn run_clusterload(cfg: &ClusterLoadConfig) -> ClusterReport {
         node_svc,
         flood_peak_live,
         fanout_mismatches,
+        expected_forwarded,
     }
 }

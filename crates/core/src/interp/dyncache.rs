@@ -72,12 +72,10 @@ fn run_dyncache_mode<const MODE: u8>(
     let insts = program.insts();
     // Adopt pre-set stack contents into memory (`buf` is the in-memory
     // part of the data stack); the cache starts empty.
-    let FlatStacks {
-        mut buf,
-        mut sp,
-        mut rbuf,
-        mut rsp,
-    } = FlatStacks::from_machine(machine);
+    let mut st = FlatStacks::from_machine(machine);
+    let (mut sp, mut rsp) = (st.sp, st.rsp);
+    let buf = st.buf.as_mut_slice();
+    let rbuf = st.rbuf.as_mut_slice();
     let limit = buf.len();
     let rlimit = rbuf.len();
 

@@ -27,6 +27,7 @@
 //! traps* bit-for-bit — run trap-free programs (all other behaviour is
 //! cross-validated against the reference interpreter).
 
+use stackcache_vm::stepper::FlatStacks;
 use stackcache_vm::{
     flag, Cell, Cfg, Checks, Inst, Machine, Program, VmError, CELL_BYTES, CHECK_FULL, CHECK_NONE,
     CHECK_NO_UNDERFLOW,
@@ -403,19 +404,15 @@ fn run_staticcache_mode<const MODE: u8>(
     fuel: u64,
 ) -> Result<RunStats, VmError> {
     let code = &exe.code;
-    let sentinels = usize::from(exe.canonical);
-    let limit = machine.stack_limit().min(1 << 20) + sentinels;
-    let rlimit = machine.rstack_limit().min(1 << 20);
-    let mut buf = vec![0 as Cell; limit];
-    let mut rbuf = vec![0 as Cell; rlimit];
-    let mut rsp = machine.rstack().len();
-    rbuf[..rsp].copy_from_slice(machine.rstack());
-
     // sentinel cells below the user stack keep the canonical convention
     // loadable at shallow depths
-    let preset = machine.stack().len();
-    buf[sentinels..sentinels + preset].copy_from_slice(machine.stack());
-    let mut sp = sentinels + preset;
+    let sentinels = usize::from(exe.canonical);
+    let mut st = FlatStacks::with_reserve(machine, sentinels);
+    let (mut sp, mut rsp) = (st.sp, st.rsp);
+    let buf = st.buf.as_mut_slice();
+    let rbuf = st.rbuf.as_mut_slice();
+    let limit = buf.len();
+    let rlimit = rbuf.len();
 
     let mut r0: Cell = 0;
     let mut r1: Cell = 0;

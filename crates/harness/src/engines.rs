@@ -112,7 +112,7 @@ impl Engine {
             }
             Kind::Jit => stackcache_jit::run_jit(p, &mut m, fuel).map(|s| s.executed),
         };
-        Outcome::capture(&m, result)
+        Outcome::from_machine(m, result)
     }
 }
 

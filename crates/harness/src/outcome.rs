@@ -70,15 +70,24 @@ impl Outcome {
     /// Capture the outcome of `result` on `machine` after a run.
     #[must_use]
     pub fn capture(machine: &Machine, result: Result<u64, VmError>) -> Outcome {
+        Outcome::from_machine(machine.clone(), result)
+    }
+
+    /// [`capture`](Self::capture) from a machine the caller is done
+    /// with: its stacks, memory and output move into the outcome
+    /// instead of being copied.
+    #[must_use]
+    pub fn from_machine(machine: Machine, result: Result<u64, VmError>) -> Outcome {
         let (trap, executed) = match result {
             Ok(n) => (None, Some(n)),
             Err(ref e) => (Some(Trap::from(e)), None),
         };
+        let (stack, rstack, memory, output) = machine.into_parts();
         Outcome {
-            stack: machine.stack().to_vec(),
-            rstack: machine.rstack().to_vec(),
-            memory: machine.memory().to_vec(),
-            output: machine.output().to_vec(),
+            stack,
+            rstack,
+            memory,
+            output,
             trap,
             executed,
         }

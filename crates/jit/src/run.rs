@@ -83,7 +83,6 @@ pub fn run_jit_with_checks(
 ///
 /// # Errors
 /// Exactly the [`VmError`]s of the reference interpreter.
-#[allow(unused_mut, unused_variables)]
 pub fn run_compiled(
     jp: &JitProgram,
     program: &Program,
@@ -91,8 +90,33 @@ pub fn run_compiled(
     fuel: u64,
     checks: Checks,
 ) -> Result<RunStats, VmError> {
-    debug_assert_eq!(jp.checks(), checks);
     let mut st = FlatStacks::from_machine(machine);
+    run_on(jp, program, machine, &mut st, fuel, checks)
+}
+
+/// [`run_compiled`] over stacks the caller acquired.
+///
+/// # Panics
+///
+/// Panics unless the buffers are exactly the machine's clamped limits
+/// ([`FlatStacks::limits`]). Those are the limits `SafetyProof::admit`
+/// checked the proven depth against before granting [`Checks::None`],
+/// and native code at that level writes past `sp` without a guard.
+#[allow(unused_mut, unused_variables)]
+fn run_on(
+    jp: &JitProgram,
+    program: &Program,
+    machine: &mut Machine,
+    st: &mut FlatStacks,
+    fuel: u64,
+    checks: Checks,
+) -> Result<RunStats, VmError> {
+    debug_assert_eq!(jp.checks(), checks);
+    assert_eq!(
+        (st.buf.len(), st.rbuf.len()),
+        FlatStacks::limits(machine),
+        "jit entry: stack buffers differ from the admitted limits"
+    );
     let mut executed: u64 = 0;
     let mut ip = program.entry();
 
@@ -147,7 +171,7 @@ pub fn run_compiled(
                     match run_span(
                         program,
                         machine,
-                        &mut st,
+                        st,
                         exit_ip,
                         stop,
                         fuel,
@@ -172,7 +196,7 @@ pub fn run_compiled(
         match run_span(
             program,
             machine,
-            &mut st,
+            st,
             ip,
             usize::MAX,
             fuel,
@@ -192,6 +216,22 @@ mod tests {
         OFF_EXECUTED, OFF_FUEL, OFF_MEM_LEN, OFF_MEM_PTR, OFF_OUT_CAP, OFF_OUT_LEN, OFF_OUT_PTR,
         OFF_RSP, OFF_RSTACK_LIMIT, OFF_RSTACK_PTR, OFF_SP, OFF_STACK_LIMIT, OFF_STACK_PTR,
     };
+
+    /// Native code at `Checks::None` trusts the buffer to be as deep as
+    /// the limits the proof was admitted against; a shorter one must be
+    /// refused before any block runs.
+    #[test]
+    #[cfg(all(target_arch = "x86_64", unix))]
+    #[should_panic(expected = "differ from the admitted limits")]
+    fn entry_refuses_stacks_shorter_than_the_admitted_limits() {
+        use stackcache_vm::{program_of, Inst};
+        let program = program_of(&[Inst::Lit(1), Inst::Lit(2), Inst::Add, Inst::Halt]);
+        let jp = JitProgram::compile(&program, Checks::None).expect("executable memory");
+        let mut machine = Machine::with_memory(64);
+        let mut st = FlatStacks::from_machine(&machine);
+        st.buf.truncate(1);
+        let _ = run_on(&jp, &program, &mut machine, &mut st, 100, Checks::None);
+    }
 
     #[test]
     fn ctx_layout_matches_baked_offsets() {

@@ -1,10 +1,12 @@
 //! An [`ExecObserver`] that feeds the flight recorder.
 //!
-//! [`RingTracer`] records a heartbeat ([`EventKind::Progress`]) every
-//! `interval` executed instructions, so a dump taken after a trap,
-//! cancellation, or hang shows what the run was doing — how far it got
-//! and where its instruction pointer was — without paying a ring write
-//! per instruction. Compose it with other observers (a deadline
+//! [`RingTracer`] records a heartbeat ([`EventKind::Progress`]) after
+//! `interval`, `2 * interval`, `4 * interval`, … executed instructions,
+//! so a dump taken after a trap, cancellation, or hang shows what the
+//! run was doing — how far it got and where its instruction pointer was
+//! — without paying a ring write per instruction. The gaps double, so
+//! one run records at most 64 heartbeats however long it spins, and a
+//! long run cannot evict its own earlier events from the ring. Compose it with other observers (a deadline
 //! enforcer, a counting regime) through the tuple `ExecObserver` impl in
 //! `stackcache-vm`.
 
@@ -13,26 +15,29 @@ use stackcache_vm::{ExecEvent, ExecObserver};
 use crate::event::EventKind;
 use crate::ring::FlightRecorder;
 
-/// Records periodic progress events for one request into one ring.
+/// Records progress events for one request into one ring, at doubling
+/// instruction counts.
 #[derive(Debug)]
 pub struct RingTracer<'a> {
     recorder: &'a FlightRecorder,
     ring: usize,
     request: u64,
-    interval: u64,
+    /// The instruction count of the next heartbeat.
+    next: u64,
     executed: u64,
 }
 
 impl<'a> RingTracer<'a> {
-    /// A tracer recording every `interval` instructions (min 1) for
-    /// `request` on `ring`.
+    /// A tracer for `request` on `ring` whose first heartbeat comes
+    /// after `interval` instructions (min 1), and each later one after
+    /// twice as many as the one before.
     #[must_use]
     pub fn new(recorder: &'a FlightRecorder, ring: usize, request: u64, interval: u64) -> Self {
         RingTracer {
             recorder,
             ring,
             request,
-            interval: interval.max(1),
+            next: interval.max(1),
             executed: 0,
         }
     }
@@ -47,7 +52,9 @@ impl<'a> RingTracer<'a> {
 impl ExecObserver for RingTracer<'_> {
     fn event(&mut self, ev: &ExecEvent) {
         self.executed += 1;
-        if self.executed.is_multiple_of(self.interval) {
+        if self.executed == self.next {
+            // saturating: past 2^63 instructions no further heartbeat
+            self.next = self.next.saturating_mul(2);
             self.recorder.record(
                 self.ring,
                 self.request,
@@ -81,6 +88,26 @@ mod tests {
             progress[0].kind,
             EventKind::Progress { executed: 10, .. }
         ));
+    }
+
+    #[test]
+    fn heartbeat_gaps_double() {
+        let rec = FlightRecorder::new(1, 64);
+        let insts: Vec<Inst> = std::iter::repeat_n(Inst::Nop, 99).collect();
+        let p = program_of(&insts);
+        let mut m = Machine::with_memory(64);
+        let mut tracer = RingTracer::new(&rec, 0, 7, 3);
+        exec::run_with_observer(&p, &mut m, 1_000, &mut tracer).unwrap();
+        let at: Vec<u64> = rec
+            .dump()
+            .for_request(7)
+            .iter()
+            .map(|e| match e.kind {
+                EventKind::Progress { executed, .. } => executed,
+                ref other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(at, [3, 6, 12, 24, 48, 96]);
     }
 
     #[test]

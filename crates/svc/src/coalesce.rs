@@ -5,30 +5,34 @@
 //! already makes "same translation" precise; coalescing extends it to
 //! "same *run*" by folding in everything else an execution depends on —
 //! the full prototype machine image (stacks, memory, output, limits),
-//! the fuel budget, and the wall-clock deadline. Two submissions with
-//! equal [`coalesce_key`]s are observationally identical: same outcome,
-//! same trap, same deadline behaviour.
+//! the fuel budget, and the wall-clock deadline. Two submissions for
+//! which [`same_execution`] holds are observationally identical: same
+//! outcome, same trap, same deadline behaviour.
 //!
 //! The mechanism is a leader/waiter map. The first submission of a key
 //! enqueues normally and registers itself as the **leader**; while it is
 //! in flight, later submissions of the same key **join** its waiter list
-//! instead of entering the queue (no queue slot, no execution). When the
-//! leader's reply is produced — completion, trap, deadline, or shutdown
-//! refusal alike — the worker takes the waiter list *before* answering
-//! anyone and fans the one reply out to every waiter. Joins and takes
-//! both happen under the map lock, so a racing submission either joins
-//! before the take (and is answered by the fanout) or finds the key
-//! vacant after it (and becomes a fresh leader); no join is ever lost.
+//! instead of entering the queue (no queue slot, no execution). The key
+//! is a 64-bit hash, so a join also checks that the joiner's request
+//! equals the leader's field by field ([`same_execution`]); a request
+//! whose key collides with a different in-flight one runs on its own,
+//! uncoalesced. When the leader's reply is produced — completion, trap,
+//! deadline, or shutdown refusal alike — the worker takes the waiter
+//! list *before* answering anyone and fans the one reply out to every
+//! waiter. Joins and takes both happen under the map lock, so a racing
+//! submission either joins before the take (and is answered by the
+//! fanout) or finds the key vacant after it (and becomes a fresh
+//! leader); no join is ever lost.
 //!
 //! Fanned-out replies are delivered under the **leader's** request id,
 //! so a network front end produces byte-identical reply bodies for every
 //! coalesced submission — only the transport-level correlation ids
 //! (each waiter's own token) differ.
 
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::worker::ReplySink;
 use crate::Request;
@@ -63,6 +67,35 @@ pub fn coalesce_key(request: &Request) -> u64 {
     h.finish()
 }
 
+/// Whether `a` and `b` ask for the same execution: every field
+/// [`coalesce_key`] hashes is equal (programs and machine images are
+/// compared by content when they are not the same allocation).
+#[must_use]
+pub fn same_execution(a: &Request, b: &Request) -> bool {
+    let same_program = Arc::ptr_eq(&a.program, &b.program)
+        || (a.program.entry() == b.program.entry() && a.program.insts() == b.program.insts());
+    let same_plan = match (&a.fusion_plan, &b.fusion_plan) {
+        (Some(x), Some(y)) => Arc::ptr_eq(x, y) || x == y,
+        (None, None) => true,
+        _ => false,
+    };
+    let (x, y) = (&a.proto, &b.proto);
+    let same_image = Arc::ptr_eq(x, y)
+        || (x.stack() == y.stack()
+            && x.rstack() == y.rstack()
+            && x.memory() == y.memory()
+            && x.output() == y.output()
+            && x.stack_limit() == y.stack_limit()
+            && x.rstack_limit() == y.rstack_limit());
+    same_program
+        && a.regime == b.regime
+        && a.peephole == b.peephole
+        && a.fuel == b.fuel
+        && a.deadline == b.deadline
+        && same_plan
+        && same_image
+}
+
 /// One joined submission awaiting the leader's reply.
 pub(crate) struct Waiter {
     /// The joiner's own service-assigned request id (its trace key).
@@ -74,7 +107,22 @@ pub(crate) struct Waiter {
 struct InFlight {
     /// The leader's request id (fanned replies are delivered under it).
     leader: u64,
+    /// The leader's request, which a joiner must equal.
+    request: Request,
     waiters: Vec<Waiter>,
+}
+
+/// What [`CoalesceGuard::try_join`] found under a key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Join {
+    /// An identical execution is in flight; the waiter joined the
+    /// leader with this request id.
+    Joined(u64),
+    /// Nothing is in flight under the key: lead it.
+    Vacant,
+    /// A different request holds the key (a hash collision): run
+    /// without coalescing.
+    Collision,
 }
 
 /// The leader/waiter registry. One per service (when coalescing is on).
@@ -130,26 +178,35 @@ pub(crate) struct CoalesceGuard<'a> {
 }
 
 impl CoalesceGuard<'_> {
-    /// If an identical execution is in flight, join it: the waiter is
-    /// parked and the leader's request id returned. Otherwise `None` —
-    /// the caller should [`register_leader`](Self::register_leader).
-    pub(crate) fn try_join(&mut self, key: u64, waiter: impl FnOnce() -> Waiter) -> Option<u64> {
-        match self.map.entry(key) {
-            Entry::Occupied(mut e) => {
-                let inflight = e.get_mut();
+    /// If an execution identical to `request` is in flight under `key`,
+    /// join it: the waiter is parked and the leader's request id
+    /// returned. On [`Join::Vacant`] the caller should
+    /// [`register_leader`](Self::register_leader); on
+    /// [`Join::Collision`] it should run the request uncoalesced.
+    pub(crate) fn try_join(
+        &mut self,
+        key: u64,
+        request: &Request,
+        waiter: impl FnOnce() -> Waiter,
+    ) -> Join {
+        match self.map.get_mut(&key) {
+            Some(inflight) if same_execution(&inflight.request, request) => {
                 inflight.waiters.push(waiter());
-                Some(inflight.leader)
+                Join::Joined(inflight.leader)
             }
-            Entry::Vacant(_) => None,
+            Some(_) => Join::Collision,
+            None => Join::Vacant,
         }
     }
 
-    /// Register `leader_id` as the in-flight execution for `key`.
-    pub(crate) fn register_leader(&mut self, key: u64, leader_id: u64) {
+    /// Register `leader_id`, running `request`, as the in-flight
+    /// execution for `key`.
+    pub(crate) fn register_leader(&mut self, key: u64, leader_id: u64, request: &Request) {
         self.map.insert(
             key,
             InFlight {
                 leader: leader_id,
+                request: request.clone(),
                 waiters: Vec::new(),
             },
         );
@@ -182,7 +239,6 @@ impl CoalesceGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
     use std::time::Duration;
 
     use stackcache_core::EngineRegime;
@@ -232,14 +288,21 @@ mod tests {
     fn lead_then_join_then_take_preserves_every_waiter() {
         let map = CoalesceMap::default();
         let key = 42;
+        let r = request();
         {
             let mut g = map.lock();
-            assert!(g.try_join(key, || unreachable!("vacant key")).is_none());
-            g.register_leader(key, 10);
+            assert_eq!(
+                g.try_join(key, &r, || unreachable!("vacant key")),
+                Join::Vacant
+            );
+            g.register_leader(key, 10, &r);
         }
         for waiter_id in 11..14 {
             let mut g = map.lock();
-            assert_eq!(g.try_join(key, || direct_waiter(waiter_id)), Some(10));
+            assert_eq!(
+                g.try_join(key, &r.clone(), || direct_waiter(waiter_id)),
+                Join::Joined(10)
+            );
         }
         let waiters = map.take_waiters(key, 10);
         assert_eq!(
@@ -248,14 +311,65 @@ mod tests {
         );
         assert_eq!(map.len(), 0);
         // the key is vacant again: the next submission leads
-        assert!(map.lock().try_join(key, || unreachable!()).is_none());
+        assert_eq!(
+            map.lock().try_join(key, &r, || unreachable!()),
+            Join::Vacant
+        );
+    }
+
+    /// Equal 64-bit keys are not proof of equal requests: a different
+    /// request under an occupied key must not be answered with the
+    /// leader's reply.
+    #[test]
+    fn a_key_collision_runs_uncoalesced() {
+        let map = CoalesceMap::default();
+        let key = 5;
+        let leader = request();
+        let other = request().fuel(99);
+        let mut g = map.lock();
+        g.register_leader(key, 1, &leader);
+        assert_eq!(
+            g.try_join(key, &other, || unreachable!(
+                "a foreign request must not park"
+            )),
+            Join::Collision
+        );
+        // an equal request built separately (no shared allocations) joins
+        let twin = Request::new(
+            Arc::new(program_of(&[Inst::Lit(1), Inst::Dot, Inst::Halt])),
+            EngineRegime::Tos,
+        );
+        assert_eq!(g.try_join(key, &twin, || direct_waiter(2)), Join::Joined(1));
+        drop(g);
+        assert_eq!(map.take_waiters(key, 1).len(), 1);
+    }
+
+    #[test]
+    fn same_execution_separates_every_keyed_field() {
+        let base = request();
+        assert!(same_execution(&base, &base.clone()));
+        assert!(!same_execution(&base, &base.clone().fuel(99)));
+        assert!(!same_execution(&base, &base.clone().peephole(true)));
+        assert!(!same_execution(
+            &base,
+            &base.clone().deadline(Duration::from_millis(5))
+        ));
+        let mut other = base.clone();
+        other.regime = EngineRegime::Static(2);
+        assert!(!same_execution(&base, &other));
+        let mut poked = Machine::with_memory(stackcache_harness::MEMORY_BYTES);
+        assert!(poked.store_byte(0, 1));
+        assert!(!same_execution(&base, &base.clone().on(Arc::new(poked))));
+        let mut plan = base.clone();
+        plan.fusion_plan = Some(Arc::new(stackcache_vm::FusionPlan::default()));
+        assert!(!same_execution(&base, &plan));
     }
 
     #[test]
     fn take_ignores_a_key_led_by_someone_else() {
         let map = CoalesceMap::default();
         let key = 7;
-        map.lock().register_leader(key, 1);
+        map.lock().register_leader(key, 1, &request());
         // a stale leader (rolled back, then key re-led) must not steal
         // the new leader's waiters
         assert!(map.take_waiters(key, 999).is_empty());
@@ -270,8 +384,9 @@ mod tests {
         let key = 9;
         {
             let mut g = map.lock();
-            g.register_leader(key, 1);
-            assert_eq!(g.try_join(key, || direct_waiter(2)), Some(1));
+            let r = request();
+            g.register_leader(key, 1, &r);
+            assert_eq!(g.try_join(key, &r, || direct_waiter(2)), Join::Joined(1));
             // enqueue failed: the joiner comes back out, the leader
             // registration dissolves
             assert_eq!(g.unjoin(key, 2).map(|w| w.id), Some(2));

@@ -81,7 +81,7 @@ use stackcache_obs::{EventKind, FlightDump, FlightRecorder, SpanRecord};
 use stackcache_vm::{FusionPlan, Machine, Program};
 
 use crate::cache::ProgramCache;
-use crate::coalesce::{CoalesceMap, Waiter};
+use crate::coalesce::{CoalesceMap, Join, Waiter};
 use crate::health::WorkerHealth;
 use crate::metrics::Metrics;
 use crate::queue::{Bounded, PushError};
@@ -307,8 +307,10 @@ pub struct TraceConfig {
     pub ring_capacity: usize,
     /// Service-wide context events attached to each incident report.
     pub dump_last: usize,
-    /// Instructions between mid-run progress heartbeats on the
-    /// cancellable reference engine.
+    /// Instructions before the first mid-run progress heartbeat on the
+    /// cancellable reference engine; each later gap is twice the one
+    /// before, so one run records at most 64 heartbeats. The worker's
+    /// liveness pulse beats at this fixed interval.
     pub progress_interval: u64,
 }
 
@@ -668,22 +670,29 @@ impl Service {
                     );
                     let key = coalesce::coalesce_key(&request);
                     let mut parked = Some(sink);
-                    match g.try_join(key, || Waiter {
+                    let join = g.try_join(key, &request, || Waiter {
                         id,
                         sink: parked.take().expect("sink parked once"),
-                    }) {
-                        Some(leader) => joins.push((key, meta, leader)),
-                        None => {
-                            g.register_leader(key, id);
-                            leaders.push(JobItem {
-                                id,
-                                request,
-                                deadline,
-                                sink: parked.take().expect("sink unmoved on lead"),
-                                coalesce: Some(key),
-                            });
+                    });
+                    let coalesce = match join {
+                        Join::Joined(leader) => {
+                            joins.push((key, meta, leader));
+                            continue;
                         }
-                    }
+                        Join::Vacant => {
+                            g.register_leader(key, id, &request);
+                            Some(key)
+                        }
+                        // a different request holds the key: run alone
+                        Join::Collision => None,
+                    };
+                    leaders.push(JobItem {
+                        id,
+                        request,
+                        deadline,
+                        sink: parked.take().expect("sink unmoved unless joined"),
+                        coalesce,
+                    });
                 }
             }
             None => leaders = items,

@@ -165,7 +165,8 @@ pub(crate) struct Tracing {
     pub(crate) recorder: Arc<FlightRecorder>,
     /// Events of service-wide context attached to each incident report.
     pub(crate) dump_last: usize,
-    /// Instructions between mid-run progress heartbeats.
+    /// Instructions before the first mid-run progress heartbeat (the
+    /// gaps double after it) and between liveness pulses.
     pub(crate) progress_interval: u64,
     /// The most recent incident reports, oldest first, bounded.
     pub(crate) incidents: Mutex<VecDeque<String>>,
@@ -281,9 +282,10 @@ fn trap_code(err: &VmError) -> u8 {
     }
 }
 
-/// Mirrors the flight recorder's `Progress` heartbeat into the worker's
-/// liveness slot: one beat every `interval` executed instructions, so
-/// the stall detector sees the same cadence the incident dumps show.
+/// Beats the worker's liveness slot every `interval` executed
+/// instructions, so the stall detector sees a steady cadence however
+/// long the run (the flight recorder's `Progress` heartbeats, in
+/// contrast, come at doubling gaps).
 struct Pulse<'a> {
     health: &'a WorkerHealth,
     worker: usize,
@@ -324,7 +326,8 @@ pub(crate) fn worker_loop(shared: &Shared, ring: usize) {
 }
 
 /// Serve every item of one job, reusing a single scratch machine across
-/// the batch (one allocation-clone, then in-place resets).
+/// the batch (one allocation-clone, then in-place resets). The last item
+/// moves the scratch machine into its outcome instead of copying it.
 fn serve(shared: &Shared, ring: usize, worker: usize, job: Job) {
     let Job { submitted, items } = job;
     if items.len() > 1 {
@@ -338,8 +341,17 @@ fn serve(shared: &Shared, ring: usize, worker: usize, job: Job) {
         );
     }
     let mut scratch: Option<Machine> = None;
-    for item in items {
-        serve_item(shared, ring, worker, submitted, item, &mut scratch);
+    let last = items.len().saturating_sub(1);
+    for (i, item) in items.into_iter().enumerate() {
+        serve_item(
+            shared,
+            ring,
+            worker,
+            submitted,
+            item,
+            &mut scratch,
+            i == last,
+        );
     }
 }
 
@@ -351,6 +363,7 @@ fn serve_item(
     submitted: Instant,
     item: JobItem,
     scratch: &mut Option<Machine>,
+    last: bool,
 ) {
     let regime = item.request.regime;
     let id = item.id;
@@ -568,7 +581,11 @@ fn serve_item(
                     }
                 }
             }
-            let outcome = Outcome::capture(machine, other);
+            let outcome = if last {
+                Outcome::from_machine(scratch.take().expect("the run's machine"), other)
+            } else {
+                Outcome::capture(machine, other)
+            };
             shared
                 .metrics
                 .on_completed(regime, trapped, queue_wait, latency, checks);

@@ -143,12 +143,10 @@ fn run_tos_mode<const MODE: u8>(
     let insts = program.insts();
     // `depth` counts all items; items 0..depth-1 are live, with item
     // depth-1 held in `tos` (its memory slot is stale).
-    let FlatStacks {
-        mut buf,
-        sp: mut depth,
-        mut rbuf,
-        mut rsp,
-    } = FlatStacks::from_machine(machine);
+    let mut st = FlatStacks::from_machine(machine);
+    let (mut depth, mut rsp) = (st.sp, st.rsp);
+    let buf = st.buf.as_mut_slice();
+    let rbuf = st.rbuf.as_mut_slice();
     let limit = buf.len();
     let rlimit = rbuf.len();
     let mut tos: Cell = if depth > 0 { buf[depth - 1] } else { 0 };
@@ -597,8 +595,7 @@ fn run_tos_mode<const MODE: u8>(
             }
             Inst::Dot => {
                 let n = pop!(cur);
-                machine.out.extend_from_slice(n.to_string().as_bytes());
-                machine.out.push(b' ');
+                machine.push_output_number(n);
             }
             Inst::Type => {
                 need!(cur, 2);

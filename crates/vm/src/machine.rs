@@ -157,10 +157,18 @@ impl Machine {
         self.out.push(b);
     }
 
+    /// Take the machine apart without copying: its data stack, return
+    /// stack, memory and output, in that order.
+    #[must_use]
+    pub fn into_parts(self) -> (Vec<Cell>, Vec<Cell>, Vec<u8>, Vec<u8>) {
+        (self.stack, self.rstack, self.mem, self.out)
+    }
+
     /// Append a number in Forth `.` format (decimal followed by a space).
     pub fn push_output_number(&mut self, n: Cell) {
-        self.out.extend_from_slice(n.to_string().as_bytes());
-        self.out.push(b' ');
+        use std::io::Write as _;
+        // formats straight into the output buffer: no temporary string
+        write!(self.out, "{n} ").expect("writing to a Vec cannot fail");
     }
 
     /// Raw parts of the output buffer `(ptr, len, capacity)` for native

@@ -30,15 +30,39 @@ use crate::inst::{flag, Cell, Inst, CELL_BYTES};
 use crate::machine::Machine;
 use crate::program::Program;
 
+/// The deepest stack, in cells, any flat-layout engine allocates,
+/// whatever the machine's own limit: a machine limit above it behaves
+/// as this limit. Safety proofs check depth against the same clamp.
+pub const STACK_CLAMP: usize = 1 << 20;
+
+/// The most cells [`FlatStacks::with_reserve`] may reserve below the
+/// user stack (the static interpreter's deepest canonical state).
+const MAX_RESERVE: usize = 3;
+
+thread_local! {
+    /// This thread's spare buffer pair, stored with the reserve trimmed
+    /// off (`buf.len()` is the clamped data limit). Taken on acquire,
+    /// put back on drop; a nested acquire finds it gone and allocates.
+    static SPARE: std::cell::Cell<Option<(Vec<Cell>, Vec<Cell>)>> =
+        const { std::cell::Cell::new(None) };
+}
+
 /// Flat interpreter stack state, owned by the caller so it survives
 /// across spans (and across native block executions in a JIT driver).
 ///
 /// `buf[..sp]` / `rbuf[..rsp]` are the live data and return stacks,
 /// bottom first — the same dense representation the wall-clock
 /// interpreters use internally. The buffer lengths are the machine's
-/// depth limits with the interpreters' `1 << 20` clamp applied: a push
-/// at `sp == buf.len()` overflows.
-#[derive(Debug, Clone)]
+/// depth limits clamped to [`STACK_CLAMP`] (plus any reserved cells,
+/// see [`with_reserve`](Self::with_reserve)): a push at
+/// `sp == buf.len()` overflows.
+///
+/// This is the one place stack storage comes from. Each thread keeps
+/// one buffer pair and reuses it across runs: acquiring copies in only
+/// the machine's live cells, and dropping hands the pair back. Cells
+/// at or above `sp` (and `rsp`) hold whatever an earlier run left
+/// there; no engine reads them.
+#[derive(Debug)]
 pub struct FlatStacks {
     /// Data-stack cells; `buf[..sp]` are live.
     pub buf: Vec<Cell>,
@@ -48,6 +72,8 @@ pub struct FlatStacks {
     pub rbuf: Vec<Cell>,
     /// Return-stack depth.
     pub rsp: usize,
+    /// Zero cells below the user stack: `buf[..reserve]`.
+    reserve: usize,
 }
 
 impl FlatStacks {
@@ -55,19 +81,75 @@ impl FlatStacks {
     /// step of every flat-layout engine.
     #[must_use]
     pub fn from_machine(machine: &Machine) -> FlatStacks {
-        let mut buf = vec![0 as Cell; machine.stack_limit().min(1 << 20)];
-        let mut rbuf = vec![0 as Cell; machine.rstack_limit().min(1 << 20)];
-        let sp = machine.stack().len();
-        buf[..sp].copy_from_slice(machine.stack());
+        FlatStacks::with_reserve(machine, 0)
+    }
+
+    /// [`from_machine`](Self::from_machine) with `reserve` zero cells
+    /// below the user stack, which starts at `buf[reserve]`. The static
+    /// interpreter keeps its canonical cache state loadable at shallow
+    /// depths this way; `buf.len()` is the clamped limit plus `reserve`,
+    /// and [`publish`](Self::publish) leaves the reserved cells out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `reserve` exceeds 3 (the static interpreter's deepest
+    /// canonical state), or if the machine's stacks are deeper than its
+    /// limits.
+    #[must_use]
+    pub fn with_reserve(machine: &Machine, reserve: usize) -> FlatStacks {
+        assert!(reserve <= MAX_RESERVE, "reserve {reserve} > {MAX_RESERVE}");
+        let (limit, rlimit) = FlatStacks::limits(machine);
+        // a spare of other lengths is freed: this run's pair replaces it
+        let spare = SPARE.try_with(std::cell::Cell::take).ok().flatten();
+        let (mut buf, mut rbuf) = spare
+            .filter(|(buf, rbuf)| buf.len() == limit && rbuf.len() == rlimit)
+            .unwrap_or_else(|| {
+                // zeroed allocation: the pages are only touched when used
+                let mut buf = vec![0 as Cell; limit + MAX_RESERVE];
+                buf.truncate(limit);
+                (buf, vec![0 as Cell; rlimit])
+            });
+        // within the capacity allocated above: no reallocation
+        buf.resize(limit + reserve, 0);
+        buf[..reserve].fill(0);
+        let sp = reserve + machine.stack().len();
+        buf[reserve..sp].copy_from_slice(machine.stack());
         let rsp = machine.rstack().len();
         rbuf[..rsp].copy_from_slice(machine.rstack());
-        FlatStacks { buf, sp, rbuf, rsp }
+        FlatStacks {
+            buf,
+            sp,
+            rbuf,
+            rsp,
+            reserve,
+        }
+    }
+
+    /// The buffer lengths [`from_machine`](Self::from_machine) gives
+    /// `machine`: its data and return stack limits, clamped to
+    /// [`STACK_CLAMP`].
+    #[must_use]
+    pub fn limits(machine: &Machine) -> (usize, usize) {
+        (
+            machine.stack_limit().min(STACK_CLAMP),
+            machine.rstack_limit().min(STACK_CLAMP),
+        )
     }
 
     /// Publish the flat stacks back into `machine` (what `halt` does).
     pub fn publish(&self, machine: &mut Machine) {
-        machine.set_stack(&self.buf[..self.sp]);
+        machine.set_stack(&self.buf[self.reserve..self.sp]);
         machine.set_rstack(&self.rbuf[..self.rsp]);
+    }
+}
+
+impl Drop for FlatStacks {
+    fn drop(&mut self) {
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.truncate(buf.len().saturating_sub(self.reserve));
+        let rbuf = std::mem::take(&mut self.rbuf);
+        // the thread may be shutting down; then the pair is just freed
+        let _ = SPARE.try_with(|s| s.set(Some((buf, rbuf))));
     }
 }
 
@@ -780,6 +862,33 @@ mod tests {
         .unwrap();
         assert_eq!(exit, SpanExit::Halted);
         assert_eq!(m.stack(), &[3]);
+    }
+
+    #[test]
+    fn stacks_are_reused_when_the_limits_match() {
+        let mut m = Machine::with_memory(64);
+        m.set_stack(&[1, 2]);
+        let st = FlatStacks::from_machine(&m);
+        let first = st.buf.as_ptr();
+        drop(st);
+        // same limits: the thread's pair comes back, reserve and all
+        let mut st = FlatStacks::with_reserve(&m, 2);
+        assert_eq!(st.buf.as_ptr(), first);
+        assert_eq!(st.buf.len(), m.stack_limit() + 2);
+        assert_eq!(&st.buf[..st.sp], &[0, 0, 1, 2]);
+        st.buf[0] = 9;
+        st.publish(&mut m);
+        assert_eq!(m.stack(), &[1, 2]);
+        drop(st);
+        let st = FlatStacks::with_reserve(&m, 1);
+        assert_eq!(st.buf.as_ptr(), first);
+        assert_eq!(&st.buf[..st.sp], &[0, 1, 2], "reserved cells are re-zeroed");
+        drop(st);
+        // other limits: buffers of those limits
+        m.set_stack_limit(8);
+        let st = FlatStacks::from_machine(&m);
+        assert_eq!((st.buf.len(), st.rbuf.len()), FlatStacks::limits(&m));
+        assert_eq!(st.buf.len(), 8);
     }
 
     #[test]
